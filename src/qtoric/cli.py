@@ -342,7 +342,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
 
     p = subs.add_parser("decompose",
-                        help="intersection of facet semigroups, boundedly verified")
+                        help="intersection of facet semigroups, proved exactly")
     p.add_argument("name")
     _add_common(p)
 

@@ -2,8 +2,11 @@
 
 Vectors are plain tuples of ints.  All decisions here are exact: sublattices
 via Hermite normal form, facets via exhaustive supporting-hyperplane search,
-Hilbert bases via parallelepiped point enumeration plus irreducibility
-reduction.  Inputs beyond the declared desk-scale limits are refused.
+Hilbert bases via integer-only parallelepiped point enumeration plus
+reduction in degree order (Bruns & Ichim, "Normaliz: algorithms for affine
+monoids and rational cones", J. Algebra 324 (2010)).  Each answer is exact
+and complete, not checked on a box.  Inputs beyond the declared desk-scale
+limits are refused before the work starts.
 """
 
 from __future__ import annotations
@@ -12,6 +15,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+from operator import mul
 from typing import Iterable, Sequence
 
 from .errors import DimensionError, PreconditionError, SizeLimitError
@@ -48,10 +52,6 @@ def vneg(a: IntVec) -> IntVec:
 
 def vdot(a: Sequence[int], b: Sequence[int]) -> int:
     return sum(x * y for x, y in zip(a, b))
-
-
-def vscale(k: int, a: IntVec) -> IntVec:
-    return tuple(k * x for x in a)
 
 
 def is_zero(a: IntVec) -> bool:
@@ -227,23 +227,32 @@ def cone_facets(cone: Cone) -> list[Facet]:
     return [Facet(n, found[n]) for n in sorted(found)]
 
 
-def _parallelepiped_points(rays: list[IntVec], d: int) -> list[IntVec]:
+def _parallelepiped_points(rays: Sequence[IntVec]) -> list[IntVec]:
     """All lattice points of {sum lam_i * ray_i : 0 <= lam_i < 1}, rays independent.
 
-    Enumerated via a complete residue system of Z^d modulo the ray lattice
-    (box given by the Hermite-form diagonal); the count is exactly |det|.
+    Integer-only: with m the rays as columns, adj(m) @ m == det * I, so the
+    point of t in Z^d is m @ ((sgn * adj @ t) mod |det|) // |det|.  The
+    residues sgn * adj @ t mod |det| form the group generated by the columns
+    of sgn * adj; it has exactly |det| elements, one per point.
     """
-    hnf = linalg.row_hnf(rays)
-    diag = [hnf[i][i] for i in range(d)]
-    m = linalg.transpose(rays)  # d x d with the rays as columns
-    m_inv = linalg.invert_fractions(m)
-    points = []
-    for t in itertools.product(*(range(h) for h in diag)):
-        lam = linalg.mat_vec(m_inv, t)
-        frac = [x - (x.numerator // x.denominator) for x in lam]
-        x = tuple(int(sum(m[i][k] * frac[k] for k in range(d))) for i in range(d))
-        points.append(x)
-    return points
+    d = len(rays)
+    m = linalg.transpose(rays)
+    adj, det = linalg.adjugate(m)
+    size = abs(det)
+    sgn = 1 if det > 0 else -1
+    residues = [zero_vec(d)]
+    for i in range(d):
+        if len(residues) == size:
+            break
+        members = set(residues)
+        step = tuple(sgn * adj[r][i] % size for r in range(d))
+        shifted = residues
+        while True:
+            shifted = [tuple((a + b) % size for a, b in zip(u, step)) for u in shifted]
+            if shifted[0] in members:  # a whole coset is new or none of it is
+                break
+            residues = residues + shifted
+    return [tuple(sum(map(mul, row, u)) // size for row in m) for u in residues]
 
 
 def hilbert_basis(cone: Cone, lattice: Sublattice, max_points: int = 200_000) -> list[IntVec]:
@@ -251,9 +260,13 @@ def hilbert_basis(cone: Cone, lattice: Sublattice, max_points: int = 200_000) ->
 
     The cone must be pointed and full-dimensional within the lattice's span.
     Candidates are the primitive rays plus all lattice points inside the
-    fundamental parallelepiped of every maximal independent ray subset;
-    reduction keeps exactly the irreducible elements.  ``max_points`` caps the
-    enumeration and aborts with a diagnostic instead of truncating.
+    fundamental parallelepiped of every maximal independent ray subset; every
+    irreducible element is among them.  They are reduced in the order of the
+    degree <w, x>, w the sum of the inner facet normals: x is reducible iff
+    its facet heights dominate those of a basis element already found.  The
+    result is exact and complete.  ``max_points`` caps the enumeration: the
+    sum of |det| over the ray subsets is charged before any point is
+    enumerated, and a refusal names the limit and the sum that exceeded it.
     """
     if lattice.rank == 0:
         if any(not is_zero(g) for g in cone.generators):
@@ -288,33 +301,38 @@ def hilbert_basis(cone: Cone, lattice: Sublattice, max_points: int = 200_000) ->
         raise PreconditionError(
             "cone contains a line", certificate=lattice.from_coordinates(line))
 
-    def in_cone(x: IntVec) -> bool:
-        return all(vdot(n, x) >= 0 for n in normals)
-
-    candidates = set(rays)
-    budget = max_points
+    total = 0
+    dets = []
     for subset in itertools.combinations(rays, d):
-        det = linalg.det_int(subset)
-        if det == 0:
-            continue
-        budget -= abs(det)
-        if budget < 0:
+        det = abs(linalg.det_int(subset))
+        total += det
+        if total > max_points:
             raise SizeLimitError(
                 f"parallelepiped enumeration exceeds {max_points} points; "
-                "instance is beyond the supported size")
-        for x in _parallelepiped_points(list(subset), d):
-            if not is_zero(x):
-                candidates.add(x)
-    ordered = sorted(candidates)
+                "instance is beyond the supported size (the sum of |det| over the "
+                f"ray subsets reached {total})")
+        dets.append(det)
+    candidates = set(rays)
+    for subset, det in zip(itertools.combinations(rays, d), dets):
+        if det > 1:
+            candidates.update(_parallelepiped_points(subset))
+    candidates.discard(zero_vec(d))
 
-    def reducible(x: IntVec) -> bool:
-        for y in ordered:
-            if y == x:
-                continue
-            z = vsub(x, y)
-            if not is_zero(z) and in_cone(z):
-                return True
-        return False
-
-    basis = [x for x in ordered if not reducible(x)]
+    # Pack the facet heights of x into one integer, one field per facet:
+    # heights(x) = sum_k x_k * column_k is linear, so the packed value is
+    # exact whenever every height fits its field.  A candidate's heights are
+    # below d times the largest ray height; one guard bit per field on top
+    # lets a single subtraction compare all heights at once.
+    width = (d * max(vdot(n, r) for n in normals for r in rays)).bit_length() + 1
+    columns = [sum(n[k] << (width * f) for f, n in enumerate(normals)) for k in range(d)]
+    guard = sum(1 << (width * f + width - 1) for f in range(len(normals)))
+    weight = tuple(sum(n[k] for n in normals) for k in range(d))
+    basis: list[IntVec] = []
+    packed_basis: list[int] = []
+    for x in sorted(candidates, key=lambda x: vdot(weight, x)):
+        top = sum(map(mul, x, columns)) | guard
+        if any((top - hb) & guard == guard for hb in packed_basis):
+            continue
+        basis.append(x)
+        packed_basis.append(top ^ guard)
     return sorted(lattice.from_coordinates(x) for x in basis)

@@ -170,6 +170,34 @@ def det_int(rows: Sequence[Sequence[int]]) -> int:
     return sign * mat[-1][-1]
 
 
+def adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
+    """(adj, det) of a nonsingular square integer matrix, with adj @ rows == det * I.
+
+    One fraction-free (Bareiss) Gauss-Jordan pass over [rows | I]: every
+    division is exact, and at the end the left block is the last pivot times
+    I and the right block is that pivot times the inverse.
+    """
+    n = len(rows)
+    aug = [list(r) + [int(i == j) for j in range(n)] for i, r in enumerate(rows)]
+    sign = 1
+    prev = 1
+    for k in range(n):
+        if aug[k][k] == 0:
+            piv = next((r for r in range(k + 1, n) if aug[r][k]), None)
+            if piv is None:
+                raise ZeroDivisionError("matrix is singular")
+            aug[k], aug[piv] = aug[piv], aug[k]
+            sign = -sign
+        pivot_row = aug[k]
+        p = pivot_row[k]
+        for i in range(n):
+            f = aug[i][k]
+            if i != k:
+                aug[i] = [(p * a - f * b) // prev for a, b in zip(aug[i], pivot_row)]
+        prev = p
+    return [[sign * v for v in row[n:]] for row in aug], sign * prev
+
+
 def invert_fractions(rows: Sequence[Sequence]) -> list[list[Fraction]]:
     """Inverse of a nonsingular square matrix, exact over Q (Gauss-Jordan)."""
     n = len(rows)
@@ -187,10 +215,6 @@ def invert_fractions(rows: Sequence[Sequence]) -> list[list[Fraction]]:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
-
-
-def mat_vec(rows: Sequence[Sequence], v: Sequence) -> list:
-    return [sum(a * b for a, b in zip(r, v)) for r in rows]
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:

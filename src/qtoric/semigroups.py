@@ -9,7 +9,6 @@ regular / maximal-order decisions.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -18,7 +17,7 @@ from .errors import (DimensionError, NotNormalError, PreconditionError,
                      SizeLimitError, VerificationError)
 from .lattice_geometry import (Cone, Facet, IntVec, Sublattice, as_vec,
                                cone_facets, hilbert_basis, is_zero,
-                               lattice_of, vadd, vdot, vneg, vsub, zero_vec)
+                               lattice_of, vadd, vdot, vsub, zero_vec)
 
 
 @dataclass(frozen=True)
@@ -61,6 +60,7 @@ class AffineSemigroup:
         self._member_cache: dict[IntVec, Membership] = {}
         self._pointed_data = None
         self._normality_cache: NormalityCertificate | None = None
+        self._normality_refusal: SizeLimitError | None = None
         self._facets_cache: list[Facet] | None = None
 
     # -- basic structure ---------------------------------------------------
@@ -205,8 +205,11 @@ class AffineSemigroup:
 
         S is normal iff every Hilbert-basis element of (cone ∩ group) belongs
         to S.  On failure the certificate carries g in the group with g not in
-        S but p*g in S.
+        S but p*g in S.  A ``SizeLimitError`` of the Hilbert-basis step passes
+        through and is kept, so a repeated call refuses at once.
         """
+        if self._normality_refusal is not None:
+            raise self._normality_refusal
         if self._normality_cache is not None:
             return self._normality_cache
         cert = self._normality()
@@ -220,6 +223,10 @@ class AffineSemigroup:
         s_emb = emb.semigroup
         try:
             hb = hilbert_basis(s_emb.cone, Sublattice.standard(emb.rank))
+        except SizeLimitError as exc:
+            # a size refusal is final for this semigroup: keep it
+            self._normality_refusal = exc
+            raise
         except PreconditionError as exc:
             raise PreconditionError(
                 f"normality needs a pointed cone: {exc}", certificate=exc.certificate)
@@ -289,7 +296,8 @@ class FacetSemigroup:
     ``transversal`` pairs to exactly 1 with the normal, and together they give
     the isomorphism onto Z^n + N.  ``positive_generators`` are the generators
     of S off the facet.  ``used_auxiliary_basis`` flags a basis that had to be
-    completed beyond the facet-incident generators.
+    completed beyond the facet-incident generators.  ``verified_box_bound``
+    records the caller's bound; the presentation itself is proved exactly.
     """
 
     facet: Facet
@@ -341,8 +349,12 @@ def facet_subsemigroup(semigroup: AffineSemigroup, facet: Facet,
     The unit basis comes from the Hermite form of the facet-incident
     generators; if those do not generate the full hyperplane lattice the
     basis is completed from the integer kernel and flagged.  The presentation
-    Z.units + N.positive_generators is verified to equal the half-space on
-    the box [-verify_bound, verify_bound]^(n+1).
+    Z.units + N.positive_generators equals the half-space {<n_tau, x> >= 0}
+    exactly, by a certificate: the unit lattice is the kernel lattice of
+    n_tau, the transversal pairs to 1, and some positive generator g has
+    height 1, so x - <n_tau, x> * g is a unit for every x in the half-space.
+    (A normal full S always has such a g.)  ``verified_box_bound`` records
+    the caller's ``verify_bound``.
     """
     semigroup.require_normal()
     if not semigroup.is_full():
@@ -368,55 +380,17 @@ def facet_subsemigroup(semigroup: AffineSemigroup, facet: Facet,
     transversal = linalg.solve_integer([n_vec], [1])
     if transversal is None:
         raise VerificationError("facet normal is not primitive")
-    fs = FacetSemigroup(facet, d, tuple(unit_basis), tuple(transversal), positive,
-                        auxiliary, verify_bound)
-    _verify_facet_presentation(fs, verify_bound)
-    return fs
-
-
-def _verify_facet_presentation(fs: FacetSemigroup, bound: int) -> None:
-    """Check Z.units + N.positives == half-space on a box, and the iso round trip."""
-    unit_lat = lattice_of(fs.unit_basis, fs.ambient_dim)
-    heights = [vdot(fs.inner_normal, p) for p in fs.positive_generators]
-
-    def presented(x: IntVec) -> bool:
-        h = vdot(fs.inner_normal, x)
-        if h < 0:
-            return False
-        # enumerate N-combinations of the positive generators reaching height h
-        stack = [(x, h, 0)]
-        seen = set()
-        while stack:
-            v, rem, start = stack.pop()
-            if rem == 0:
-                if unit_lat.contains(v):
-                    return True
-                continue
-            for i in range(start, len(fs.positive_generators)):
-                if heights[i] <= rem:
-                    nxt = (vsub(v, fs.positive_generators[i]), rem - heights[i], i)
-                    if nxt not in seen:
-                        seen.add(nxt)
-                        stack.append(nxt)
-        return False
-
-    for x in itertools.product(range(-bound, bound + 1), repeat=fs.ambient_dim):
-        inside = vdot(fs.inner_normal, x) >= 0
-        if presented(x) != inside:
-            raise VerificationError(
-                f"facet presentation mismatch at {list(x)}: half-space says {inside}")
-        if inside:
-            coords, h = fs.iso_coordinates(x)
-            if fs.from_iso_coordinates(coords, h) != x:
-                raise VerificationError(f"iso round trip failed at {list(x)}")
-    for u in fs.unit_basis:
-        if not (fs.contains(u) and fs.contains(vneg(u))):
-            raise VerificationError("unit basis vector is not invertible in S_tau")
+    if 1 not in pairings:
+        raise VerificationError(
+            f"no generator has height 1 over {list(n_vec)}; the presentation "
+            "is not the half-space")
+    return FacetSemigroup(facet, d, tuple(unit_basis), tuple(transversal), positive,
+                          auxiliary, verify_bound)
 
 
 @dataclass(frozen=True)
 class Decomposition:
-    """S as the intersection of its facet semigroups, boundedly verified."""
+    """S as the intersection of its facet semigroups."""
 
     facet_semigroups: tuple[FacetSemigroup, ...]
     verified_to_degree: int
@@ -425,40 +399,18 @@ class Decomposition:
 def decompose(semigroup: AffineSemigroup, bound: int = 6) -> Decomposition:
     """Intersection decomposition S = /\\ S_tau for a normal full positive S.
 
-    Verifies x in S <=> x in every S_tau for all x in N^(n+1) with coordinate
-    sum <= bound.  Refuses non-normal input with the normality witness.
+    Exact: a normal full S is C ∩ Z^(n+1), and the cone C is the
+    intersection of the half-spaces of its complete facet list, so no point
+    needs checking.  ``verified_to_degree`` records the caller's ``bound``.
+    Refuses non-normal input with the normality witness.
     """
     semigroup.require_normal()
     if not semigroup.is_full():
         raise PreconditionError("decomposition needs a full semigroup")
     if not semigroup.positive:
         raise PreconditionError("decomposition needs a positive semigroup")
-    facets = semigroup.facets()
-    parts = tuple(facet_subsemigroup(semigroup, f) for f in facets)
-    d = semigroup.ambient_dim
-    for total in range(bound + 1):
-        for x in _compositions(total, d):
-            in_s = semigroup.contains(x)
-            in_all = all(p.contains(x) for p in parts)
-            if in_s != in_all:
-                raise VerificationError(
-                    f"decomposition mismatch at {list(x)}: S says {in_s}, "
-                    f"intersection says {in_all}")
+    parts = tuple(facet_subsemigroup(semigroup, f) for f in semigroup.facets())
     return Decomposition(parts, bound)
-
-
-def _compositions(total: int, parts: int):
-    """All vectors in N^parts with coordinate sum == total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
 
 
 @dataclass(frozen=True)

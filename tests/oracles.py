@@ -220,6 +220,165 @@ def gorenstein_candidate_works(generators, dim, c, degree, box=4):
     return True
 
 
+def _fraction_inverse(rows):
+    """Inverse of a nonsingular square matrix over Q by Gauss-Jordan."""
+    n = len(rows)
+    aug = [[Fraction(v) for v in r] + [Fraction(int(i == j)) for j in range(n)]
+           for i, r in enumerate(rows)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if aug[r][col])
+        aug[col], aug[piv] = aug[piv], aug[col]
+        aug[col] = [v / aug[col][col] for v in aug[col]]
+        for r in range(n):
+            if r != col and aug[r][col]:
+                f = aug[r][col]
+                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
+    return [row[n:] for row in aug]
+
+
+def exhaustive_facet_normals(generators, dim):
+    """Primitive inner normals of a pointed full-dimensional cone, by sympy.
+
+    Every (dim-1)-subset of generators of rank dim-1 gives a hyperplane; the
+    supporting ones are the facets.
+    """
+    gens = [tuple(g) for g in generators if any(g)]
+    if dim == 1:
+        return {(1 if gens[0][0] > 0 else -1,)}
+    normals = set()
+    for subset in itertools.combinations(gens, dim - 1):
+        if sympy_rank(subset) != dim - 1:
+            continue
+        v = sympy.Matrix([list(r) for r in subset]).nullspace()[0]
+        scale = sympy.ilcm(*[x.q for x in v])
+        n = _primitive(tuple(int(x * scale) for x in v))
+        pairings = [sum(a * b for a, b in zip(n, g)) for g in gens]
+        if all(p >= 0 for p in pairings):
+            normals.add(n)
+        elif all(p <= 0 for p in pairings):
+            normals.add(tuple(-x for x in n))
+    return normals
+
+
+def exhaustive_hilbert_basis(generators, dim):
+    """Hilbert basis of the pointed full cone over the generators, within Z^dim.
+
+    The exhaustive method: the primitive rays plus the lattice points of the
+    half-open parallelepiped of every independent dim-subset of rays (the
+    group generated by the columns of the Fraction inverse, modulo 1), then
+    an all-pairs scan that drops x whenever x - y is a nonzero cone point.
+    """
+    rays = sorted({_primitive(tuple(g)) for g in generators if any(g)})
+    normals = exhaustive_facet_normals(rays, dim)
+
+    def in_cone(x):
+        return all(sum(a * b for a, b in zip(n, x)) >= 0 for n in normals)
+
+    candidates = set(rays)
+    for subset in itertools.combinations(rays, dim):
+        if sympy_det(subset) == 0:
+            continue
+        m = [list(col) for col in zip(*subset)]  # the rays as columns
+        inv = _fraction_inverse(m)
+        steps = [tuple(inv[r][i] % 1 for r in range(dim)) for i in range(dim)]
+        zero = tuple(Fraction(0) for _ in range(dim))
+        seen, frontier = {zero}, [zero]
+        while frontier:
+            lam = frontier.pop()
+            for step in steps:
+                nxt = tuple((a + b) % 1 for a, b in zip(lam, step))
+                if nxt not in seen:
+                    seen.add(nxt)
+                    frontier.append(nxt)
+        for lam in seen:
+            x = tuple(sum(m[i][k] * lam[k] for k in range(dim)) for i in range(dim))
+            assert all(c.denominator == 1 for c in x)
+            if any(x):
+                candidates.add(tuple(int(c) for c in x))
+    ordered = sorted(candidates)
+    return [x for x in ordered
+            if not any(y != x and in_cone(tuple(a - b for a, b in zip(x, y)))
+                       for y in ordered)]
+
+
+def _lattice_membership(basis):
+    """Membership test for the lattice of independent integer rows (Fractions)."""
+    if not basis:
+        return lambda v: not any(v)
+    r, dim = len(basis), len(basis[0])
+    cols = next(c for c in itertools.combinations(range(dim), r)
+                if sympy_det([[b[j] for j in c] for b in basis]) != 0)
+    inv = _fraction_inverse([[b[j] for j in cols] for b in basis])
+
+    def member(v):
+        coords = [sum(v[cols[i]] * inv[i][k] for i in range(r)) for k in range(r)]
+        if any(c.denominator != 1 for c in coords):
+            return False
+        return all(sum(c * b[j] for c, b in zip(coords, basis)) == v[j]
+                   for j in range(dim))
+
+    return member
+
+
+def facet_presentation_mismatch(fs, bound):
+    """The box scan: first x in [-bound, bound]^d where Z.units + N.positives
+    and the half-space {<n, x> >= 0} disagree, or where the iso round trip or
+    a unit's inverse fails; None when the box holds no such point.
+    """
+    n = fs.inner_normal
+    positives = fs.positive_generators
+    heights = [sum(a * b for a, b in zip(n, p)) for p in positives]
+    unit = _lattice_membership(fs.unit_basis)
+
+    def presented(x):
+        h = sum(a * b for a, b in zip(n, x))
+        if h < 0:
+            return False
+        # N-combinations of the positive generators reaching height h
+        stack, seen = [(x, h, 0)], set()
+        while stack:
+            v, rem, start = stack.pop()
+            if rem == 0:
+                if unit(v):
+                    return True
+                continue
+            for i in range(start, len(positives)):
+                if heights[i] <= rem:
+                    nxt = (tuple(a - b for a, b in zip(v, positives[i])), rem - heights[i], i)
+                    if nxt not in seen:
+                        seen.add(nxt)
+                        stack.append(nxt)
+        return False
+
+    for x in itertools.product(range(-bound, bound + 1), repeat=fs.ambient_dim):
+        inside = sum(a * b for a, b in zip(n, x)) >= 0
+        if presented(x) != inside:
+            return x
+        if inside:
+            coords, h = fs.iso_coordinates(x)
+            if fs.from_iso_coordinates(coords, h) != x:
+                return x
+    for u in fs.unit_basis:
+        if not (fs.contains(u) and fs.contains(tuple(-c for c in u))):
+            return u
+    return None
+
+
+def decomposition_mismatch(generators, normals, bound):
+    """The composition loop: first x in N^d with coordinate sum <= bound where
+    membership in S (breadth-first) and in every facet half-space disagree,
+    or None.
+    """
+    members = brute_members_by_degree(generators, bound)
+    dim = len(generators[0])
+    for total in range(bound + 1):
+        for x in _compositions(total, dim):
+            in_all = all(sum(a * b for a, b in zip(n, x)) >= 0 for n in normals)
+            if (x in members) != in_all:
+                return x
+    return None
+
+
 def standard_chains_with_sum(lattice, vector_of, target):
     """All weakly increasing chains whose embedding vectors sum to target.
 

@@ -1,13 +1,16 @@
 import itertools
 
 import pytest
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from qtoric import (Cone, DimensionError, PreconditionError, SizeLimitError,
                     Sublattice, cone_facets, hilbert_basis, lattice_of, linalg)
+from qtoric import lattice_geometry
 from qtoric.lattice_geometry import primitive, vdot
 
 from .oracles import (brute_cone_points, brute_facets, brute_hilbert_basis,
-                      brute_members_by_degree, same_lattice)
+                      brute_members_by_degree, exhaustive_hilbert_basis,
+                      same_lattice, sympy_rank)
 
 # the 3D cone with facet normals (0,1,0),(0,0,1),(1,-1,0),(1,0,-1)
 SQUARE_CONE = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
@@ -246,3 +249,54 @@ def test_hilbert_basis_point_budget():
         hilbert_basis(Cone(((1, 0), (1, 300001)), 2), z2)
     with pytest.raises(SizeLimitError):
         hilbert_basis(Cone(((1, 0), (1, 3)), 2), z2, max_points=2)
+
+
+def test_hilbert_basis_budget_refusal_enumerates_nothing(monkeypatch):
+    # the first subset fits the budget and the second does not: the budget is
+    # charged in full before any parallelepiped is enumerated
+    calls = []
+    monkeypatch.setattr(lattice_geometry, "_parallelepiped_points",
+                        lambda rays: calls.append(rays) or [])
+    cone = Cone(((1, 0), (1, 2), (1, 5)), 2)
+    with pytest.raises(SizeLimitError) as exc:
+        hilbert_basis(cone, Sublattice.standard(2), max_points=5)
+    assert calls == []
+    assert "exceeds 5 points" in str(exc.value)
+    assert "reached 7" in str(exc.value)
+
+
+def test_hilbert_basis_matches_exhaustive_oracle():
+    cones = [
+        [(2,), (3,)],
+        [(1, 0), (1, 1), (1, 2)],
+        [(1, 0), (1, 3)],
+        [(1, 2), (2, 1)],
+        [(2, 1), (1, 3), (1, 1)],
+        SQUARE_CONE,
+        [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
+        [(3, 1, 2), (0, 2, 3), (1, 0, 0), (2, 3, 1)],
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 5)],
+    ]
+    for gens in cones:
+        dim = len(gens[0])
+        got = hilbert_basis(Cone(tuple(gens), dim), Sublattice.standard(dim))
+        assert got == exhaustive_hilbert_basis(gens, dim)
+
+
+@st.composite
+def small_cones(draw, extra=2):
+    """Full-dimensional cones in N^d, d <= 4, entries 0..3, at most d + extra generators."""
+    dim = draw(st.integers(2, 4))
+    gens = draw(st.lists(st.tuples(*[st.integers(0, 3)] * dim),
+                         min_size=dim, max_size=dim + extra, unique=True))
+    assume(sympy_rank(gens) == dim)
+    return gens, dim
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(small_cones())
+def test_hilbert_basis_matches_exhaustive_oracle_random(cone):
+    gens, dim = cone
+    got = hilbert_basis(Cone(tuple(gens), dim), Sublattice.standard(dim))
+    assert got == exhaustive_hilbert_basis(gens, dim)

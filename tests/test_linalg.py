@@ -117,3 +117,21 @@ def test_invert_fractions():
     m = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(1)]]
     inv = linalg.invert_fractions(m)
     assert inv == [[Fraction(1), Fraction(-1)], [Fraction(-1), Fraction(2)]]
+
+
+def test_adjugate_matches_sympy():
+    import pytest
+    import sympy
+    rng = random.Random(13)
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        m = [[rng.randint(-4, 4) for _ in range(n)] for _ in range(n)]
+        if sympy_det(m) == 0:
+            with pytest.raises(ZeroDivisionError):
+                linalg.adjugate(m)
+            continue
+        adj, det = linalg.adjugate(m)
+        assert det == sympy_det(m)
+        assert adj == sympy.Matrix(m).adjugate().tolist()
+    # a zero leading pivot forces a row swap, which flips the sign
+    assert linalg.adjugate([[0, 1], [1, 0]]) == ([[0, -1], [-1, 0]], -1)

@@ -2,14 +2,19 @@ import itertools
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
 
-from qtoric import (AffineSemigroup, DimensionError, NotNormalError,
-                    PreconditionError, decompose, elements_by_degree,
-                    facet_subsemigroup, hilbert_function, regularity_report)
+from qtoric import (AffineSemigroup, Cone, DimensionError, Facet, FacetSemigroup,
+                    NotNormalError, PreconditionError, SizeLimitError, Sublattice,
+                    VerificationError, decompose, elements_by_degree,
+                    facet_subsemigroup, hilbert_basis, hilbert_function,
+                    regularity_report, semigroups)
 from qtoric.lattice_geometry import vdot
 
 from .oracles import (brute_members_by_degree, brute_membership,
-                      brute_normality_witness, gorenstein_candidate_works)
+                      brute_normality_witness, decomposition_mismatch,
+                      facet_presentation_mismatch, gorenstein_candidate_works)
+from .test_lattice_geometry import small_cones
 
 SQUARE_CONE = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
 
@@ -140,6 +145,35 @@ def test_normality_matches_brute_force(n2, a1, rays13, n23, nonnorm_gap, nonnorm
             assert s.contains(tuple(p * c for c in g))
 
 
+def test_normality_size_refusal_passes_through_and_is_cached(monkeypatch):
+    # full and pointed, but the subset {(1,0), (1,300001)} alone exceeds the
+    # 200,000-point parallelepiped budget of the Hilbert-basis step
+    s = AffineSemigroup([(1, 0), (1, 300001), (0, 1)])
+    with pytest.raises(SizeLimitError) as exc:
+        s.normality()
+    assert type(exc.value) is SizeLimitError
+    assert "200000" in str(exc.value) and "300001" in str(exc.value)
+    assert "pointed" not in str(exc.value)
+
+    def enumerate_again(*args, **kwargs):
+        raise AssertionError("the refusal was not kept")
+
+    monkeypatch.setattr(semigroups, "hilbert_basis", enumerate_again)
+    with pytest.raises(SizeLimitError) as again:
+        s.normality()
+    assert again.value is exc.value
+    with pytest.raises(SizeLimitError):
+        regularity_report(s)
+
+
+def test_normality_line_is_a_pointedness_failure():
+    s = AffineSemigroup([(1, 0), (-1, 0), (0, 1)])
+    with pytest.raises(PreconditionError) as exc:
+        s.normality()
+    assert not isinstance(exc.value, SizeLimitError)
+    assert str(exc.value).startswith("normality needs a pointed cone: cone contains a line")
+
+
 def test_require_normal(n2, n23):
     assert n2.require_normal().normal
     with pytest.raises(NotNormalError) as exc:
@@ -255,6 +289,53 @@ def test_decompose_requires_positive():
     s = AffineSemigroup([(1, -1), (1, 1)])
     with pytest.raises(PreconditionError):
         decompose(s)
+
+
+def test_facet_semigroups_match_box_scan(n2, a1, rays13):
+    for s in [n2, a1, rays13, AffineSemigroup(SQUARE_CONE)]:
+        for facet in s.facets():
+            fs = facet_subsemigroup(s, facet)
+            assert fs.verified_box_bound == 2
+            assert facet_presentation_mismatch(fs, 2) is None
+    assert facet_subsemigroup(a1, a1.facets()[0], verify_bound=5).verified_box_bound == 5
+
+
+def test_facet_certificate_refuses_where_box_scan_fails(n2):
+    # <(7,11), x> >= 0 holds on N^2, but no generator has height 1
+    with pytest.raises(VerificationError):
+        facet_subsemigroup(n2, Facet((7, 11), frozenset()))
+    bogus = FacetSemigroup(Facet((7, 11), frozenset()), 2, ((11, -7),), (-3, 2),
+                           ((1, 0), (0, 1)), True, 2)
+    assert facet_presentation_mismatch(bogus, 2) is not None
+
+
+def test_decompose_matches_composition_oracle(n2, a1, rays13):
+    for s in [n2, a1, rays13, AffineSemigroup(SQUARE_CONE)]:
+        dec = decompose(s, 9)
+        assert dec.verified_to_degree == 9
+        normals = [fs.inner_normal for fs in dec.facet_semigroups]
+        assert normals == [f.inner_normal for f in s.facets()]
+        assert decomposition_mismatch(s.generators, normals, 6) is None
+
+
+def test_composition_oracle_sees_a_gap(nonnorm_gap):
+    # the facet half-spaces of a non-normal S hold a point outside S
+    normals = [f.inner_normal for f in nonnorm_gap.facets()]
+    assert decomposition_mismatch(nonnorm_gap.generators, normals, 6) == (1, 1)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(small_cones(extra=1))
+def test_facet_certificates_match_oracles_random(cone):
+    # the Hilbert basis of a full cone generates a normal full semigroup
+    gens, dim = cone
+    s = AffineSemigroup(hilbert_basis(Cone(tuple(gens), dim), Sublattice.standard(dim)))
+    dec = decompose(s, 4)
+    for fs in dec.facet_semigroups:
+        assert facet_presentation_mismatch(fs, 1) is None
+    normals = [fs.inner_normal for fs in dec.facet_semigroups]
+    assert decomposition_mismatch(s.generators, normals, 4) is None
 
 
 def test_regularity_orthant(n2):
