@@ -273,12 +273,12 @@ def _cmd_straighten(args, model: ModelFile) -> list[str]:
 
 def _cmd_lattice(args, model: ModelFile) -> list[str]:
     lat = _get(model, "lattice", args.name)
-    sg = straightening_semigroup(lat)
     if args.cocycle is not None:
         alpha = _get(model, "cocycle", args.cocycle)
     else:
-        alpha = Cocycle.trivial(sg.ambient_dim)
+        alpha = Cocycle.trivial(len(lat.join_irreducibles()) + 1)
     report = lattice_algebra_report(lat, alpha)
+    sg = report.semigroup
     rep = report.regularity
     lines = [
         f"lattice = {args.name}",

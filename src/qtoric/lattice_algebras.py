@@ -14,11 +14,11 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .errors import PreconditionError, QtoricError, VerificationError
+from .errors import DimensionError, PreconditionError, QtoricError, VerificationError
 from .lattice_geometry import IntVec, as_vec, vadd, vsub, zero_vec
 from .scalars_cocycles import Cocycle, ScalarMonomial
 from .semigroups import AffineSemigroup, RegularityReport, regularity_report
-from .twisted_algebra import TwistedAlgebra, TwistedElement
+from .twisted_algebra import TwistedAlgebra
 
 
 class DistLattice:
@@ -380,25 +380,23 @@ def straighten(sg: StrSemigroup, cocycle: Cocycle,
 
     ``word`` lists lattice elements (ids); the product of their monomials in
     k^alpha[S] equals the returned scalar times the monomial of the returned
-    standard word.  The scalar is the exact ratio of the two cocycle chains.
+    standard word.  The scalar is q^(E(word) - E(standard)) in closed form,
+    E being the exponent of an ordered word product (``Cocycle.word_scalar``).
     """
-    algebra = TwistedAlgebra(sg.semigroup, cocycle)
-    product = algebra.one()
+    if cocycle.dim != sg.ambient_dim:
+        raise DimensionError(
+            f"cocycle on Z^{cocycle.dim} cannot twist a dimension-{sg.ambient_dim} algebra")
     for a in word:
         if not 0 <= a < sg.lattice.size:
             raise PreconditionError(f"word element {a} is not a lattice element id")
-        product = algebra.product(product, algebra.monomial(sg.vector_of[a]))
     if not word:
         return ScalarMonomial.one(), StandardWord(())
-    coeff, expo = product.leading_term()
+    expo = sg.vector_of_word(word)
     standard = sg.standard_word(expo)
-    std_product = algebra.one()
-    for a in standard.chain:
-        std_product = algebra.product(std_product, algebra.monomial(sg.vector_of[a]))
-    std_coeff, std_expo = std_product.leading_term()
-    if std_expo != expo:
+    if sg.vector_of_word(standard.chain) != expo:
         raise VerificationError("standard word re-sum disagrees with the product")
-    scalar = coeff.as_monomial() / std_coeff.as_monomial()
+    scalar = (cocycle.word_scalar([sg.vector_of[a] for a in word])
+              / cocycle.word_scalar([sg.vector_of[a] for a in standard.chain]))
     return scalar, standard
 
 

@@ -85,12 +85,6 @@ def row_hnf(rows: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     return [tuple(r) for r in mat[:pr]]
 
 
-def row_hnf_with_transform(rows: Sequence[Sequence[int]]):
-    """Return (hnf_rows, u, npivots) with u unimodular and u @ rows == hnf."""
-    mat, u, pr = _hnf_core([list(r) for r in rows], track=True)
-    return [tuple(r) for r in mat], [tuple(r) for r in u], pr
-
-
 def int_rank(rows: Sequence[Sequence[int]]) -> int:
     if not rows:
         return 0
@@ -215,8 +209,3 @@ def invert_fractions(rows: Sequence[Sequence]) -> list[list[Fraction]]:
                 f = aug[r][col]
                 aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
     return [row[n:] for row in aug]
-
-
-def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list[list]:
-    bt = transpose(b)
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]

@@ -6,20 +6,28 @@ closed form: one integer bicharacter matrix per parameter, optionally
 composed with the coboundary of f(s) = prod_k c_k^(s^T Q_k s + L_k . s).
 This family is closed under the coboundary relation, so cohomology questions
 reduce to exact matrix comparisons verified by evaluation.
+
+Every scalar a cocycle produces is prod_k c_k^(s^T C_k t) with the bilinear
+form C_k = B_k - Q_k - Q_k^T.  A cocycle compiles these forms once, on its
+first evaluation, into integer matrices over one common denominator; its
+values, its ordered word products and ``full_form`` all read that data.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property
+from operator import mul
 from typing import Mapping, Sequence
 
 from .errors import DimensionError, QtoricError
 from .lattice_geometry import IntVec
 
 ExpKey = tuple[tuple[str, Fraction], ...]
+_ONE = Fraction(1)
 
 
 def _as_fraction(x) -> Fraction:
@@ -198,9 +206,7 @@ def _as_frac_vector(row, dim: int):
 
 
 def _bilinear(s: Sequence, mat, t: Sequence):
-    return sum(s[i] * mat[i][j] * t[j]
-               for i in range(len(s)) for j in range(len(t))
-               if s[i] and mat[i][j] and t[j])
+    return sum(si * sum(map(mul, row, t)) for si, row in zip(s, mat) if si)
 
 
 @dataclass(frozen=True)
@@ -285,8 +291,41 @@ class Cocycle:
         if len(v) != self.dim:
             raise DimensionError(f"cocycle on Z^{self.dim} applied to length-{len(v)} vector")
 
+    @cached_property
+    def _compiled(self) -> tuple[int, tuple[tuple[tuple[int, ...], ...], ...]]:
+        """(den, forms) with forms[k] == den * C_k, all integers, C_k = B_k - Q_k - Q_k^T."""
+        quads = self.quad if self.quad is not None else (None,) * len(self.params)
+        idx = range(self.dim)
+        forms = [[[Fraction(b[i][j]) - (q[i][j] + q[j][i] if q is not None else 0) for j in idx]
+                  for i in idx] for b, q in zip(self.bichar, quads)]
+        den = math.lcm(1, *(x.denominator for c in forms for row in c for x in row))
+        return den, tuple(tuple(tuple(int(x * den) for x in row) for row in c) for c in forms)
+
+    def _monomial(self, numerators: Sequence[int]) -> ScalarMonomial:
+        den = self._compiled[0]
+        return ScalarMonomial(_ONE, tuple(sorted(
+            (p, Fraction(e, den)) for p, e in zip(self.params, numerators) if e)))
+
     def __call__(self, s: IntVec, t: IntVec) -> ScalarMonomial:
-        return _cocycle_eval(self, tuple(s), tuple(t))
+        self._check_vec(s)
+        self._check_vec(t)
+        return self._monomial([_bilinear(s, c, t) for c in self._compiled[1]])
+
+    def word_scalar(self, vectors: Sequence[IntVec]) -> ScalarMonomial:
+        """The scalar q^E of the ordered product X^(v_1)...X^(v_k) = q^E X^(v_1+...+v_k).
+
+        E_k = sum_(i<j) v_i^T C_k v_j, accumulated against the prefix sums of
+        the word.
+        """
+        forms = self._compiled[1]
+        exps = [0] * len(forms)
+        prefix = (0,) * self.dim
+        for v in vectors:
+            self._check_vec(v)
+            for k, c in enumerate(forms):
+                exps[k] += _bilinear(prefix, c, v)
+            prefix = tuple(a + b for a, b in zip(prefix, v))
+        return self._monomial(exps)
 
     def coboundary_value(self, s: Sequence[int]) -> ScalarMonomial:
         """f(s) for the coboundary part (1 when there is none)."""
@@ -304,32 +343,13 @@ class Cocycle:
 
     def full_form(self, param_index: int):
         """The rational bilinear form C_k with alpha's k-exponent == s^T C_k t."""
-        b = self.bichar[param_index]
-        if self.quad is None:
-            return tuple(tuple(Fraction(x) for x in row) for row in b)
-        q = self.quad[param_index]
-        return tuple(tuple(Fraction(b[i][j]) - q[i][j] - q[j][i] for j in range(self.dim))
-                     for i in range(self.dim))
+        den, forms = self._compiled
+        return tuple(tuple(Fraction(x, den) for x in row) for row in forms[param_index])
 
     def skew_form(self, param_index: int):
         c = self.full_form(param_index)
         return tuple(tuple(c[i][j] - c[j][i] for j in range(self.dim))
                      for i in range(self.dim))
-
-
-@lru_cache(maxsize=500_000)
-def _cocycle_eval(alpha: Cocycle, s: IntVec, t: IntVec) -> ScalarMonomial:
-    alpha._check_vec(s)
-    alpha._check_vec(t)
-    exps = {}
-    for k, p in enumerate(alpha.params):
-        e = _bilinear(s, alpha.bichar[k], t)
-        if alpha.quad is not None:
-            q = alpha.quad[k]
-            e = Fraction(e) - _bilinear(s, q, t) - _bilinear(t, q, s)
-        if e:
-            exps[p] = e
-    return ScalarMonomial.make(1, exps)
 
 
 def check_cocycle_identity(alpha: Cocycle, triples: Sequence[tuple[IntVec, IntVec, IntVec]],

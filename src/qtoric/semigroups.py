@@ -62,6 +62,7 @@ class AffineSemigroup:
         self._normality_cache: NormalityCertificate | None = None
         self._normality_refusal: SizeLimitError | None = None
         self._facets_cache: list[Facet] | None = None
+        self._embedding: FullEmbedding | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -195,10 +196,12 @@ class AffineSemigroup:
     # -- embeddings and saturation ------------------------------------------
 
     def full_embedding(self) -> "FullEmbedding":
-        """Rewrite S inside its group of fractions, re-coordinatized to Z^rank."""
-        coords = [self.group.coordinates(g) for g in self.generators]
-        emb = AffineSemigroup(coords, self.group.rank)
-        return FullEmbedding(self.group.rank, emb, self.group, self)
+        """Rewrite S inside its group of fractions, re-coordinatized to Z^rank (built once)."""
+        if self._embedding is None:
+            coords = [self.group.coordinates(g) for g in self.generators]
+            emb = AffineSemigroup(coords, self.group.rank)
+            self._embedding = FullEmbedding(self.group.rank, emb, self.group, self)
+        return self._embedding
 
     def normality(self) -> "NormalityCertificate":
         """Exact normality decision with certificate.
@@ -454,8 +457,7 @@ def regularity_report(semigroup: AffineSemigroup, bound: int = 6) -> RegularityR
     if r == 0:
         return RegularityReport(True, None, "yes", "yes", zero_vec(semigroup.ambient_dim),
                                 True, True, True, 0, bound)
-    facets = cone_facets(emb.semigroup.cone)
-    normals = [f.inner_normal for f in facets]
+    normals = [f.inner_normal for f in emb.semigroup.facets()]
     c = linalg.solve_integer(normals, [1] * len(normals))
     gorenstein = "yes" if c is not None else "no"
     gorenstein_witness = emb.to_ambient(c) if c is not None else None

@@ -4,17 +4,21 @@ Elements are finite sums of monomials X^s with invertible-ring coefficients;
 the product is X^s X^t = alpha(s, t) X^(s+t) extended bilinearly.  The module
 also builds the left twisting system that recovers the algebra from its
 commutative degeneration, the full quantum-torus embedding, and facet
-localizations.
+localizations.  The twisting system needs no verification: for the
+closed-form cocycles its axiom is the cocycle identity of a bilinear form,
+and tau_t(X^s) = alpha(s, t) X^s reproduces the product by definition, so
+the proof is exact in every degree.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 from .errors import DimensionError, PreconditionError, SizeLimitError, VerificationError
-from .lattice_geometry import Facet, IntVec, as_vec, is_zero, vadd, vneg, zero_vec
+from .lattice_geometry import Facet, IntVec, as_vec, vadd, vneg, zero_vec
 from .scalars_cocycles import Cocycle, Scalar, ScalarMonomial, commutation_matrix
 from .semigroups import (AffineSemigroup, FacetSemigroup, elements_by_degree,
                          facet_subsemigroup)
@@ -126,8 +130,6 @@ class TwistedAlgebra:
     def in_domain(self, s: Sequence[int]) -> bool:
         if self.domain is None:
             return len(s) == self.dim
-        if isinstance(self.domain, FacetSemigroup):
-            return self.domain.contains(s)
         return self.domain.contains(s)
 
     def _check_support(self, x: TwistedElement) -> None:
@@ -198,31 +200,19 @@ class TwistedAlgebra:
                         product_bound: int = 5) -> "TwistingSystem":
         """The left twisting system tau with tau_t(X^s) = alpha(s, t) X^s.
 
-        Verifies, on monomials of total degree <= the bounds, both the
-        twisting-system axiom and that the twisted commutative product
-        reproduces this algebra's product; failures raise VerificationError.
+        Exact for every degree, with no point checked: the twisting-system
+        axiom alpha(g, g') alpha(g + g', g'') = alpha(g', g'') alpha(g, g' + g'')
+        is the cocycle identity, which every closed-form cocycle satisfies
+        because its exponent is a bilinear form, and the twisted product
+        tau_t(X^s) X^t = alpha(s, t) X^(s+t) is this algebra's product by
+        definition.  ``axiom_bound`` and ``product_bound`` bound nothing;
+        callers record them.  Needs a positive affine semigroup domain.
         """
         if self.domain is None or isinstance(self.domain, FacetSemigroup):
             raise PreconditionError("twisting systems are built over semigroup algebras")
-        system = TwistingSystem(self.cocycle, self.dim)
-        degrees = _degree_list(self.domain, max(axiom_bound, product_bound))
-        small = [s for s in degrees if sum(s) <= axiom_bound]
-        for g, gp, gpp in itertools.product(small, repeat=3):
-            lhs = self.cocycle(g, gp) * self.cocycle(vadd(g, gp), gpp)
-            rhs = self.cocycle(gp, gpp) * self.cocycle(g, vadd(gp, gpp))
-            if lhs != rhs:
-                raise VerificationError(
-                    f"twisting-system axiom fails at degrees {g}, {gp}, {gpp}")
-        for s, t in itertools.combinations_with_replacement(degrees, 2):
-            for a, b in ((s, t), (t, s)):
-                if sum(a) + sum(b) > product_bound:
-                    continue
-                twisted = system.twisted_product(self.monomial(a), self.monomial(b))
-                direct = self.product(self.monomial(a), self.monomial(b))
-                if twisted != direct:
-                    raise VerificationError(
-                        f"twisted product disagrees with the algebra at {a}, {b}")
-        return system
+        if not self.domain.positive and not self.domain.is_trivial():
+            raise PreconditionError("degree enumeration needs a positive semigroup")
+        return TwistingSystem(self.cocycle, self.dim)
 
     # -- quantum torus embedding ---------------------------------------------
 
@@ -315,11 +305,6 @@ class TwistedAlgebra:
         return FacetLocalization(algebra, fs, q_tau, t_vecs)
 
 
-def _degree_list(semigroup: AffineSemigroup, bound: int) -> list[IntVec]:
-    layers = elements_by_degree(semigroup, bound)
-    return sorted(v for layer in layers.values() for v in layer)
-
-
 def _signed_box(dim: int, radius: int) -> Iterable[IntVec]:
     return itertools.product(range(-radius, radius + 1), repeat=dim)
 
@@ -336,13 +321,13 @@ class TwistingSystem:
         return TwistedElement({s: c * Scalar.of(self.cocycle(s, t))
                                for s, c in x.terms.items()})
 
+    @cached_property
+    def _commutative(self) -> TwistedAlgebra:
+        return TwistedAlgebra(None, Cocycle.trivial(self.dim, self.cocycle.params), self.dim)
+
     def commutative_product(self, x: TwistedElement, y: TwistedElement) -> TwistedElement:
-        acc: dict[IntVec, Scalar] = {}
-        for s, cx in x.terms.items():
-            for t, cy in y.terms.items():
-                st = vadd(s, t)
-                acc[st] = acc.get(st, Scalar.zero()) + cx * cy
-        return TwistedElement(acc)
+        """The product of k[Z^dim]: the torus product under the trivial cocycle."""
+        return self._commutative.product(x, y)
 
     def twisted_product(self, x: TwistedElement, y: TwistedElement) -> TwistedElement:
         """x o y = sum over degrees t of y: tau_t(x) * y_t (commutative product)."""

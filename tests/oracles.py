@@ -12,6 +12,9 @@ from math import gcd
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 
+from qtoric import (ScalarMonomial, StandardWord, TwistedAlgebra,
+                    elements_by_degree, linalg)
+
 
 def sympy_rank(rows) -> int:
     if not rows:
@@ -51,6 +54,19 @@ def same_lattice(rows_a, rows_b) -> bool:
         return False
     return (all(in_column_lattice(rows_b, v) for v in rows_a)
             and all(in_column_lattice(rows_a, v) for v in rows_b))
+
+
+def mat_mul(a, b):
+    """Product of two row-major matrices."""
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def row_hnf_with_transform(rows):
+    """(hnf_rows, u, npivots) with u unimodular and u @ rows == hnf: the
+    library's Hermite core run with its transform tracked.
+    """
+    mat, u, pr = linalg._hnf_core([list(r) for r in rows], track=True)
+    return [tuple(r) for r in mat], [tuple(r) for r in u], pr
 
 
 def _primitive(v):
@@ -447,3 +463,70 @@ def all_posets_up_to(n_max):
             seen.add(canon)
             reps.append((n, canon))
     return reps
+
+
+# -- cocycle scalars by direct expansion, independent of the compiled forms ---
+
+def _bilinear(s, mat, t):
+    return sum(s[i] * mat[i][j] * t[j] for i in range(len(s)) for j in range(len(t)))
+
+
+def bilinear_cocycle_value(alpha, s, t):
+    """alpha(s, t) read entry by entry off the stored matrices:
+    prod_k c_k^(s^T B_k t - s^T Q_k t - t^T Q_k s).
+    """
+    exps = {}
+    for k, p in enumerate(alpha.params):
+        e = Fraction(_bilinear(s, alpha.bichar[k], t))
+        if alpha.quad is not None:
+            e -= _bilinear(s, alpha.quad[k], t) + _bilinear(t, alpha.quad[k], s)
+        exps[p] = e
+    return ScalarMonomial.make(1, exps)
+
+
+def product_chain_straighten(sg, cocycle, word):
+    """straighten by multiplying out the word and its standard word in
+    k^alpha[S], support checks included, and dividing the two coefficients.
+    """
+    algebra = TwistedAlgebra(sg.semigroup, cocycle)
+
+    def chain_product(chain):
+        product = algebra.one()
+        for a in chain:
+            product = algebra.product(product, algebra.monomial(sg.vector_of[a]))
+        return product.leading_term()
+
+    if not word:
+        return ScalarMonomial.one(), StandardWord(())
+    coeff, expo = chain_product(word)
+    standard = sg.standard_word(expo)
+    std_coeff, std_expo = chain_product(standard.chain)
+    assert std_expo == expo
+    return coeff.as_monomial() / std_coeff.as_monomial(), standard
+
+
+def twisting_system_mismatch(algebra, axiom_bound, product_bound):
+    """The bounded checks of a twisting system over a positive semigroup.
+
+    Returns the first failure, ("axiom", g, g', g'') for a degree triple of
+    coordinate sums <= axiom_bound where
+    alpha(g, g') alpha(g + g', g'') != alpha(g', g'') alpha(g, g' + g''), or
+    ("product", a, b) for a pair of total degree <= product_bound where the
+    twisted commutative product differs from the algebra's; None if none.
+    """
+    alpha = algebra.cocycle
+    system = algebra.twisting_system(axiom_bound, product_bound)
+    layers = elements_by_degree(algebra.domain, max(axiom_bound, product_bound))
+    degrees = sorted(v for layer in layers.values() for v in layer)
+    add = lambda u, v: tuple(a + b for a, b in zip(u, v))
+    small = [s for s in degrees if sum(s) <= axiom_bound]
+    for g, gp, gpp in itertools.product(small, repeat=3):
+        if alpha(g, gp) * alpha(add(g, gp), gpp) != alpha(gp, gpp) * alpha(g, add(gp, gpp)):
+            return ("axiom", g, gp, gpp)
+    for a, b in itertools.product(degrees, repeat=2):
+        if sum(a) + sum(b) > product_bound:
+            continue
+        x, y = algebra.monomial(a), algebra.monomial(b)
+        if system.twisted_product(x, y) != algebra.product(x, y):
+            return ("product", a, b)
+    return None

@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qtoric import (Cocycle, DimensionError, QtoricError, ScalarMonomial,
                     are_cohomologous, check_cocycle_identity,
                     commutation_matrix)
 
 from .conftest import quantum_cocycle, shifted_cocycle
+from .oracles import bilinear_cocycle_value
 
 E0, E1 = (1, 0), (0, 1)
 
@@ -96,6 +97,48 @@ def test_identity_check_detects_corruption(upper):
 def test_closed_form_is_always_a_cocycle(b, q, triple):
     alpha = Cocycle.bicharacter(2, {"q": b}).with_coboundary(quad={"q": q})
     assert check_cocycle_identity(alpha, [tuple(triple)]) is None
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(st.data())
+def test_compiled_evaluation_matches_entrywise_formula(data):
+    # parameters out of name order, Fraction coboundaries on some of them
+    dim = data.draw(st.integers(1, 4))
+    params = data.draw(st.sampled_from([("q",), ("r", "q"), ("q", "t", "r")]))
+    ints = st.integers(-3, 3)
+    fracs = st.fractions(min_value=-2, max_value=2, max_denominator=6)
+    square = lambda e: st.lists(st.lists(e, min_size=dim, max_size=dim),
+                                min_size=dim, max_size=dim)
+    vec = st.lists(ints, min_size=dim, max_size=dim).map(tuple)
+    bichar = tuple(tuple(map(tuple, data.draw(square(ints)))) for _ in params)
+    alpha = Cocycle(dim, params, bichar)
+    if data.draw(st.booleans()):
+        alpha = alpha.with_coboundary(
+            quad={p: data.draw(square(fracs)) for p in params[:2]},
+            lin={params[0]: data.draw(st.lists(fracs, min_size=dim, max_size=dim))})
+    for s, t in data.draw(st.lists(st.tuples(vec, vec), min_size=1, max_size=8)):
+        value = alpha(s, t)
+        assert value == bilinear_cocycle_value(alpha, s, t)
+        assert str(value) == str(bilinear_cocycle_value(alpha, s, t))
+    for k in range(len(params)):
+        q = alpha.quad[k] if alpha.quad is not None else ((0,) * dim,) * dim
+        b = alpha.bichar[k]
+        assert alpha.full_form(k) == tuple(
+            tuple(b[i][j] - q[i][j] - q[j][i] for j in range(dim)) for i in range(dim))
+
+
+def test_word_scalar_is_the_ordered_product(shifted):
+    vectors = [(1, 0), (0, 1), (1, 1), (2, 0)]
+    expected = ScalarMonomial.one()
+    prefix = (0, 0)
+    for v in vectors:
+        expected = expected * shifted(prefix, v)
+        prefix = (prefix[0] + v[0], prefix[1] + v[1])
+    assert shifted.word_scalar(vectors) == expected
+    assert shifted.word_scalar([]) == ScalarMonomial.one()
+    assert shifted.word_scalar([(1, 0), (0, 1)]) == shifted((1, 0), (0, 1))
+    with pytest.raises(DimensionError):
+        shifted.word_scalar([(1, 0), (0, 1, 0)])
 
 
 def test_bicharacter_is_biadditive(upper):

@@ -1,15 +1,18 @@
+import functools
 import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qtoric import (Cocycle, DistLattice, PreconditionError, QtoricError,
-                    ScalarMonomial, StandardWord, TwistedAlgebra, birkhoff,
-                    ideal_lattice, lattice_algebra_report, straighten,
-                    straightening_semigroup)
+from qtoric import (Cocycle, DimensionError, DistLattice, PreconditionError,
+                    QtoricError, ScalarMonomial, StandardWord, TwistedAlgebra,
+                    birkhoff, ideal_lattice, lattice_algebra_report,
+                    straighten, straightening_semigroup)
 
 from .conftest import M3_COVERS, N5_COVERS, quantum_cocycle
-from .oracles import join_irreducibles_by_joins, standard_chains_with_sum
+from .oracles import (join_irreducibles_by_joins, product_chain_straighten,
+                      standard_chains_with_sum)
 
 TRI3 = Cocycle.bicharacter(3, {"q": [[0, 1, 0], [0, 0, 0], [1, 0, 0]]})
 
@@ -228,6 +231,51 @@ def test_straighten_empty_and_invalid(diamond):
     assert scalar == ScalarMonomial.one() and word.chain == ()
     with pytest.raises(PreconditionError):
         straighten(sg, TRI3, [99])
+
+
+def test_straighten_refusals_keep_their_order(diamond):
+    sg = straightening_semigroup(diamond)
+    # the dimension check comes before the id check, even on an empty word
+    for word in ([], [99]):
+        with pytest.raises(DimensionError) as exc:
+            straighten(sg, Cocycle.trivial(2), word)
+        assert str(exc.value) == "cocycle on Z^2 cannot twist a dimension-3 algebra"
+    with pytest.raises(PreconditionError) as exc:
+        straighten(sg, TRI3, [0, -1, 99])
+    assert str(exc.value) == "word element -1 is not a lattice element id"
+
+
+@functools.cache
+def _straightening_fixtures():
+    lattices = [
+        DistLattice.from_covers(["a", "b"], [("a", "b")]),
+        DistLattice.from_covers(["a", "m", "b"], [("a", "m"), ("m", "b")]),
+        DistLattice.from_covers(["bot", "x", "y", "top"],
+                                [("bot", "x"), ("bot", "y"), ("x", "top"), ("y", "top")]),
+        ideal_lattice(3, []),
+        ideal_lattice(4, [(0, 2), (1, 2), (1, 3)]),
+    ]
+    return [straightening_semigroup(lat) for lat in lattices]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_closed_form_straighten_matches_product_chain(data):
+    sg = data.draw(st.sampled_from(_straightening_fixtures()))
+    dim = sg.ambient_dim
+    ints = st.integers(-2, 2)
+    fracs = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    square = lambda e: st.lists(st.lists(e, min_size=dim, max_size=dim),
+                                min_size=dim, max_size=dim)
+    alpha = Cocycle.bicharacter(dim, {p: data.draw(square(ints)) for p in "qr"})
+    alpha = alpha.with_coboundary(
+        quad={p: data.draw(square(fracs)) for p in "qr"},
+        lin={"q": data.draw(st.lists(fracs, min_size=dim, max_size=dim))})
+    word = data.draw(st.lists(st.integers(0, sg.lattice.size - 1), max_size=6))
+    scalar, standard = straighten(sg, alpha, word)
+    ref_scalar, ref_standard = product_chain_straighten(sg, alpha, word)
+    assert standard == ref_standard
+    assert scalar == ref_scalar and str(scalar) == str(ref_scalar)
 
 
 def test_straighten_is_order_independent(diamond):

@@ -8,7 +8,7 @@ from qtoric import (AffineSemigroup, Cone, DimensionError, Facet, FacetSemigroup
                     NotNormalError, PreconditionError, SizeLimitError, Sublattice,
                     VerificationError, decompose, elements_by_degree,
                     facet_subsemigroup, hilbert_basis, hilbert_function,
-                    regularity_report, semigroups)
+                    lattice_geometry, regularity_report, semigroups)
 from qtoric.lattice_geometry import vdot
 
 from .oracles import (brute_members_by_degree, brute_membership,
@@ -347,6 +347,23 @@ def test_regularity_orthant(n2):
     assert r.as_regular
     assert r.has_balanced_dualizing_complex
     assert r.rank == 2
+
+
+def test_second_regularity_report_runs_no_facet_search(rays13, monkeypatch):
+    calls = []
+
+    def counting(cone):
+        calls.append(cone)
+        return real(cone)
+
+    real = lattice_geometry.cone_facets
+    monkeypatch.setattr(semigroups, "cone_facets", counting)
+    monkeypatch.setattr(lattice_geometry, "cone_facets", counting)
+    first = regularity_report(rays13)
+    assert calls
+    calls.clear()
+    assert regularity_report(rays13) == first
+    assert calls == []
 
 
 def test_regularity_widening(a1):

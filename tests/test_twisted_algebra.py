@@ -8,8 +8,11 @@ from qtoric import (AffineSemigroup, Cocycle, DimensionError, NotNormalError,
                     PreconditionError, Scalar, ScalarMonomial, TwistedAlgebra,
                     TwistedElement, elements_by_degree)
 from qtoric.lattice_geometry import vadd
+from qtoric.lattice_algebras import straightening_semigroup
+from qtoric.twisted_algebra import TwistingSystem
 
-from .conftest import quantum_cocycle
+from .conftest import quantum_cocycle, shifted_cocycle
+from .oracles import twisting_system_mismatch
 
 
 def test_element_basics():
@@ -238,6 +241,46 @@ def test_twist_reconstruction_pairs(n2, a1, n23, triv2, qplane, shifted):
     for s, alpha in cases:
         ts = TwistedAlgebra(s, alpha).twisting_system()
         assert ts.cocycle is alpha
+
+
+def test_twisting_system_matches_bounded_checks(n2, a1, n23, diamond):
+    # the fixtures of acceptance criterion 2, checked by the degree loops
+    diamond_s = straightening_semigroup(diamond).semigroup
+    for s in (n2, a1, n23, diamond_s):
+        dim = s.ambient_dim
+        for alpha in (Cocycle.trivial(dim), quantum_cocycle(dim), shifted_cocycle(dim)):
+            assert twisting_system_mismatch(TwistedAlgebra(s, alpha), 3, 5) is None
+
+
+class _CorruptedCocycle(Cocycle):
+    """A Cocycle whose value at (e_0, e_1) is off by one factor of q."""
+
+    def __call__(self, s, t):
+        value = super().__call__(s, t)
+        if (tuple(s), tuple(t)) == ((1, 0), (0, 1)):
+            return value * ScalarMonomial.param("q")
+        return value
+
+
+def test_twisting_checks_flag_a_corrupted_evaluator(n2, upper, monkeypatch):
+    bad = _CorruptedCocycle(upper.dim, upper.params, upper.bichar)
+    failure = twisting_system_mismatch(TwistedAlgebra(n2, bad), 3, 5)
+    assert failure is not None and failure[0] == "axiom"
+    g, gp, gpp = failure[1:]
+    assert bad(g, gp) * bad(vadd(g, gp), gpp) != bad(gp, gpp) * bad(g, vadd(gp, gpp))
+    # a twisting system that ignores the cocycle fails the product check
+    monkeypatch.setattr(TwistingSystem, "apply", lambda self, t, x: x)
+    assert twisting_system_mismatch(TwistedAlgebra(n2, upper), 3, 5)[0] == "product"
+
+
+def test_twisting_system_preconditions(qplane):
+    torus = TwistedAlgebra(None, qplane, 2)
+    with pytest.raises(PreconditionError):
+        torus.twisting_system()
+    pointed = AffineSemigroup([(1, 0), (-1, 1)])
+    with pytest.raises(PreconditionError) as exc:
+        TwistedAlgebra(pointed, qplane).twisting_system()
+    assert str(exc.value) == "degree enumeration needs a positive semigroup"
 
 
 def test_localize_at_facet_quantum(n2, qplane):
