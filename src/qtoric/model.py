@@ -7,14 +7,17 @@ Grammar, one declaration per line ('#' starts a comment):
     lattice NAME elements=[a,b,c,d] covers=[[a,b],[a,c],[b,d],[c,d]]
     bound 6
 
-Numbers are integers or rationals p/q; names are [A-Za-z_][A-Za-z0-9_]*.
+Numbers are integers or rationals p/q in decimal digits; names are a letter
+or '_' followed by letters, digits or '_'.
 Keys may carry a parameter suffix (bichar:q).  Errors carry line and column.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
 from .errors import ModelParseError, QtoricError
 from .lattice_algebras import DistLattice
@@ -22,120 +25,110 @@ from .scalars_cocycles import Cocycle
 from .semigroups import AffineSemigroup
 
 _PUNCT = "[],=:"
+_TOKEN = re.compile(r"([\[\],=:]|-?\d+(?:/\d*)?|[^\W\d]\w*)")
+_BAD_DEN = re.compile(r"/0*(?!\d)")
 
 
-@dataclass(frozen=True)
-class _Tok:
-    kind: str        # "name" | "number" | "punct"
-    text: str
-    col: int
-    value: object = None
+def _is_number(tok: str) -> bool:
+    return tok[0] == "-" or tok[0].isdecimal()
 
 
-def _tokenize(line: str, lineno: int) -> list[_Tok]:
-    out = []
-    i = 0
-    n = len(line)
-    while i < n:
-        c = line[i]
-        if c in " \t":
-            i += 1
-            continue
-        if c == "#":
-            break
-        col = i + 1
-        if c in _PUNCT:
-            out.append(_Tok("punct", c, col))
-            i += 1
-            continue
-        if c == "-" or c.isdigit():
-            j = i + 1 if c == "-" else i
-            if j >= n or not line[j].isdigit():
-                raise ModelParseError("expected digits after '-'", lineno, col)
-            k = j
-            while k < n and line[k].isdigit():
-                k += 1
-            value: object = int(line[i:k])
-            if k < n and line[k] == "/":
-                start = k + 1
-                k2 = start
-                while k2 < n and line[k2].isdigit():
-                    k2 += 1
-                if k2 == start:
-                    raise ModelParseError("expected digits after '/'", lineno, k + 1)
-                den = int(line[start:k2])
-                if den == 0:
-                    raise ModelParseError("zero denominator", lineno, start)
-                value = Fraction(int(line[i:k]), den)
-                k = k2
-            out.append(_Tok("number", line[i:k], col, value))
-            i = k
-            continue
-        if c.isalpha() or c == "_":
-            k = i
-            while k < n and (line[k].isalnum() or line[k] == "_"):
-                k += 1
-            out.append(_Tok("name", line[i:k], col))
-            i = k
-            continue
-        raise ModelParseError(f"unexpected character {c!r}", lineno, col)
-    return out
+def _number(tok: str) -> int | Fraction:
+    num, _, den = tok.partition("/")
+    return Fraction(int(num), int(den)) if den else int(num)
+
+
+def _check_lexemes(parts: list[str], lineno: int) -> None:
+    """Raise the first lexical error of a line split by ``_TOKEN`` (tokens at odd positions)."""
+    col = 1
+    for k, part in enumerate(parts):
+        rest = "" if k % 2 else part.lstrip(" \t")  # what follows a gap's blanks
+        if rest:
+            message = ("expected digits after '-'" if rest[0] == "-"
+                       else f"unexpected character {rest[0]!r}")
+            raise ModelParseError(message, lineno, col + len(part) - len(rest))
+        den = part.partition("/")[2]
+        if k % 2 and "/" in part and (not den or int(den) == 0):
+            message = "zero denominator" if den else "expected digits after '/'"
+            raise ModelParseError(message, lineno, col + part.index("/"))
+        if k % 2 and not (_is_number(part) or part[0] in _PUNCT + "_" or part[0].isalpha()):
+            raise ModelParseError(f"unexpected character {part[0]!r}", lineno, col)
+        col += len(part)
 
 
 class _Cursor:
-    def __init__(self, toks: list[_Tok], lineno: int, end_col: int):
-        self.toks = toks
+    """One line's token texts, their 1-based columns and a read position.
+
+    Only a line whose gaps between tokens hold more than blanks, or that has
+    non-ASCII text or a denominator that is empty or zero, is checked for
+    lexical errors.
+    """
+
+    __slots__ = ("toks", "cols", "pos", "lineno", "end_col")
+
+    def __init__(self, line: str, lineno: int):
+        code = line.split("#", 1)[0]
+        parts = _TOKEN.split(code)
+        if "".join(parts[::2]).strip(" \t") or not code.isascii() or _BAD_DEN.search(code):
+            _check_lexemes(parts, lineno)
+        self.toks = parts[1::2]
+        self.cols = list(accumulate(map(len, parts), initial=1))[1::2]
         self.pos = 0
         self.lineno = lineno
-        self.end_col = end_col
+        self.end_col = len(line) + 1
 
-    def done(self) -> bool:
-        return self.pos >= len(self.toks)
+    def peek(self) -> str | None:
+        return None if self.pos >= len(self.toks) else self.toks[self.pos]
 
-    def peek(self) -> _Tok | None:
-        return None if self.done() else self.toks[self.pos]
+    def col(self) -> int:
+        """Column of the token taken last."""
+        return self.cols[self.pos - 1]
 
     def fail(self, message: str):
-        col = self.end_col if self.done() else self.toks[self.pos].col
+        col = self.end_col if self.peek() is None else self.cols[self.pos]
         raise ModelParseError(message, self.lineno, col)
 
-    def take(self, kind: str | None = None, text: str | None = None) -> _Tok:
+    def take(self, kind: str | None = None, text: str | None = None) -> str:
         t = self.peek()
         if t is None:
             self.fail(f"expected {text or kind}, found end of line")
-        if kind is not None and t.kind != kind:
-            self.fail(f"expected {text or kind}, found {t.text!r}")
-        if text is not None and t.text != text:
-            self.fail(f"expected {text!r}, found {t.text!r}")
+        if kind is not None and kind != ("punct" if t[0] in _PUNCT else
+                                         "number" if _is_number(t) else "name"):
+            self.fail(f"expected {text or kind}, found {t!r}")
+        if text is not None and t != text:
+            self.fail(f"expected {text!r}, found {t!r}")
         self.pos += 1
         return t
 
 
 def _parse_value(cur: _Cursor):
-    t = cur.peek()
-    if t is None:
-        cur.fail("expected a value")
-    if t.kind == "punct" and t.text == "[":
-        cur.take()
-        items = []
-        nxt = cur.peek()
-        if nxt is not None and nxt.kind == "punct" and nxt.text == "]":
-            cur.take()
-            return items
-        while True:
-            items.append(_parse_value(cur))
-            sep = cur.take("punct")
-            if sep.text == "]":
-                return items
-            if sep.text != ",":
-                raise ModelParseError("expected ',' or ']'", cur.lineno, sep.col)
-    if t.kind == "number":
-        cur.take()
-        return t.value
-    if t.kind == "name":
-        cur.take()
-        return t.text
-    cur.fail("expected a value")
+    """A number, a name, or a bracketed comma-separated list of values."""
+    toks, i, n = cur.toks, cur.pos, len(cur.toks)
+    open_lists: list[list] = []
+    while True:
+        if i >= n or toks[i][0] in "],=:":
+            cur.pos = i
+            cur.fail("expected a value")
+        t = toks[i]
+        i += 1
+        if t == "[" and (i >= n or toks[i] != "]"):
+            open_lists.append([])
+            continue
+        value = [] if t == "[" else _number(t) if _is_number(t) else t
+        i += t == "["  # the "]" of an empty list
+        while open_lists:
+            open_lists[-1].append(value)
+            if i >= n or toks[i] not in (",", "]"):
+                cur.pos = i
+                cur.take("punct")
+                raise ModelParseError("expected ',' or ']'", cur.lineno, cur.col())
+            i += 1
+            if toks[i - 1] == ",":
+                break
+            value = open_lists.pop()
+        else:
+            cur.pos = i
+            return value
 
 
 @dataclass(frozen=True)
@@ -147,20 +140,18 @@ class _Field:
 
 def _parse_fields(cur: _Cursor) -> dict[tuple[str, str | None], _Field]:
     fields: dict[tuple[str, str | None], _Field] = {}
-    while not cur.done():
-        key_tok = cur.take("name")
+    while cur.peek() is not None:
+        name = cur.take("name")
+        col = cur.col()
         param = None
-        nxt = cur.peek()
-        if nxt is not None and nxt.kind == "punct" and nxt.text == ":":
-            cur.take()
-            param = cur.take("name").text
+        if cur.peek() == ":":
+            cur.pos += 1
+            param = cur.take("name")
         cur.take("punct", "=")
         value = _parse_value(cur)
-        key = (key_tok.text, param)
-        if key in fields:
-            raise ModelParseError(f"duplicate field {key_tok.text!r}",
-                                  cur.lineno, key_tok.col)
-        fields[key] = _Field(value, cur.lineno, key_tok.col)
+        if (name, param) in fields:
+            raise ModelParseError(f"duplicate field {name!r}", cur.lineno, col)
+        fields[(name, param)] = _Field(value, cur.lineno, col)
     return fields
 
 
@@ -241,8 +232,7 @@ class ModelFile:
         return self.lattices[name]
 
 
-def _parse_semigroup(cur: _Cursor, lineno: int) -> AffineSemigroup:
-    fields = _parse_fields(cur)
+def _parse_semigroup(fields: dict, lineno: int) -> AffineSemigroup:
     gens = _require(fields, "gens", lineno)
     _reject_extras(fields, "semigroup")
     vectors = _int_list_list(gens, "gens")
@@ -256,8 +246,7 @@ def _parse_semigroup(cur: _Cursor, lineno: int) -> AffineSemigroup:
         raise ModelParseError(str(exc), gens.line, gens.col) from exc
 
 
-def _parse_cocycle(cur: _Cursor, lineno: int) -> Cocycle:
-    fields = _parse_fields(cur)
+def _parse_cocycle(fields: dict, lineno: int) -> Cocycle:
     dim_f = _require(fields, "dim", lineno)
     if not isinstance(dim_f.value, int) or dim_f.value < 1:
         raise ModelParseError("dim must be a positive integer", dim_f.line, dim_f.col)
@@ -302,8 +291,7 @@ def _parse_cocycle(cur: _Cursor, lineno: int) -> Cocycle:
         raise ModelParseError(str(exc), lineno, 1) from exc
 
 
-def _parse_lattice(cur: _Cursor, lineno: int) -> DistLattice:
-    fields = _parse_fields(cur)
+def _parse_lattice(fields: dict, lineno: int) -> DistLattice:
     elements_f = _require(fields, "elements", lineno)
     covers_f = _require(fields, "covers", lineno)
     _reject_extras(fields, "lattice")
@@ -322,45 +310,41 @@ def _parse_lattice(cur: _Cursor, lineno: int) -> DistLattice:
         raise ModelParseError(str(exc), lineno, 1) from exc
 
 
+_BUILDERS = {"semigroup": _parse_semigroup, "cocycle": _parse_cocycle,
+             "lattice": _parse_lattice}
+
+
 def parse_model(text: str) -> ModelFile:
-    semigroups: dict[str, AffineSemigroup] = {}
-    cocycles: dict[str, Cocycle] = {}
-    lattices: dict[str, DistLattice] = {}
+    objects: dict[str, dict] = {kind: {} for kind in _BUILDERS}
     bound: int | None = None
     taken: dict[str, int] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        toks = _tokenize(line, lineno)
-        if not toks:
+        cur = _Cursor(line, lineno)
+        if cur.peek() is None:
             continue
-        cur = _Cursor(toks, lineno, len(line) + 1)
         head = cur.take("name")
-        if head.text == "bound":
-            t = cur.take("number")
-            if not isinstance(t.value, int) or t.value < 0:
+        if head == "bound":
+            value = _number(cur.take("number"))
+            if not isinstance(value, int) or value < 0:
                 raise ModelParseError("bound must be a nonnegative integer",
-                                      lineno, t.col)
-            if not cur.done():
+                                      lineno, cur.col())
+            if cur.peek() is not None:
                 cur.fail("unexpected trailing input after bound")
-            bound = t.value
+            bound = value
             continue
-        if head.text not in ("semigroup", "cocycle", "lattice"):
+        if head not in _BUILDERS:
             raise ModelParseError(
-                f"unknown declaration {head.text!r} "
+                f"unknown declaration {head!r} "
                 "(expected semigroup, cocycle, lattice, or bound)",
-                lineno, head.col)
-        name_tok = cur.take("name")
-        if name_tok.text in taken:
+                lineno, cur.col())
+        name = cur.take("name")
+        if name in taken:
             raise ModelParseError(
-                f"name {name_tok.text!r} already declared on line {taken[name_tok.text]}",
-                lineno, name_tok.col)
-        taken[name_tok.text] = lineno
-        if head.text == "semigroup":
-            semigroups[name_tok.text] = _parse_semigroup(cur, lineno)
-        elif head.text == "cocycle":
-            cocycles[name_tok.text] = _parse_cocycle(cur, lineno)
-        else:
-            lattices[name_tok.text] = _parse_lattice(cur, lineno)
-    return ModelFile(semigroups, cocycles, lattices, bound)
+                f"name {name!r} already declared on line {taken[name]}",
+                lineno, cur.col())
+        taken[name] = lineno
+        objects[head][name] = _BUILDERS[head](_parse_fields(cur), lineno)
+    return ModelFile(objects["semigroup"], objects["cocycle"], objects["lattice"], bound)
 
 
 def load_model(path: str) -> ModelFile:

@@ -6,14 +6,16 @@ library must agree with these on every fixture.
 """
 
 import itertools
+from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
 
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 
-from qtoric import (ScalarMonomial, StandardWord, TwistedAlgebra,
-                    elements_by_degree, linalg)
+from qtoric import (ModelParseError, QtoricError, ScalarMonomial, StandardWord,
+                    TwistedAlgebra, elements_by_degree, linalg)
+from qtoric import model as model_module
 
 
 def sympy_rank(rows) -> int:
@@ -530,3 +532,249 @@ def twisting_system_mismatch(algebra, axiom_bound, product_bound):
         if system.twisted_product(x, y) != algebra.product(x, y):
             return ("product", a, b)
     return None
+
+
+# -- lattices by pairwise closure and the triple scan -------------------------
+
+def scanned_lattice_tables(leq, labels):
+    """Meet and join tables of a finite order by closure over all pairs.
+
+    Raises QtoricError naming the first pair (row-major) without a meet or
+    join, then checks distributivity on all triples and raises naming the
+    first witness triple.  This is how DistLattice decided lattices before
+    it used Birkhoff's theorem, and what it still runs on a refused poset.
+    """
+    n = len(leq)
+
+    def bound(a, b, lower):
+        if lower:
+            cands = [c for c in range(n) if leq[c][a] and leq[c][b]]
+            best = [c for c in cands if all(leq[d][c] for d in cands)]
+        else:
+            cands = [c for c in range(n) if leq[a][c] and leq[b][c]]
+            best = [c for c in cands if all(leq[c][d] for d in cands)]
+        return best[0] if len(best) == 1 else None
+
+    meet = [[0] * n for _ in range(n)]
+    join = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            m, j = bound(a, b, True), bound(a, b, False)
+            if m is None or j is None:
+                kind = "meet" if m is None else "join"
+                raise QtoricError(f"not a lattice: {labels[a]} and {labels[b]} have no {kind}")
+            meet[a][b], join[a][b] = m, j
+    for a, b, c in itertools.product(range(n), repeat=3):
+        if meet[a][join[b][c]] != join[meet[a][b]][meet[a][c]]:
+            raise QtoricError("lattice is not distributive; witness triple "
+                              f"({labels[a]}, {labels[b]}, {labels[c]})")
+    return tuple(map(tuple, meet)), tuple(map(tuple, join))
+
+
+def naturally_labeled_posets(n):
+    """Every order on {0..n-1} in which a < b implies a < b as integers.
+
+    Each is returned as its sorted list of strict pairs.  Every finite poset
+    is isomorphic to at least one of them; the counts for n = 0..6 are 1, 1,
+    2, 7, 40, 357, 4824.  Element k is added below nothing earlier, above
+    exactly one down-set of the order built so far.
+    """
+    orders = [[]]
+    for k in range(n):
+        grown = []
+        for pairs in orders:
+            below = {b: {a for a, c in pairs if c == b} for b in range(k)}
+            for mask in range(1 << k):
+                chosen = {b for b in range(k) if mask >> b & 1}
+                if all(below[b] <= chosen for b in chosen):
+                    grown.append(pairs + [(a, k) for a in sorted(chosen)])
+        orders = grown
+    return orders
+
+
+def staircase_round_trip_mismatch(sg, bound):
+    """The first staircase point with first coordinate <= bound whose
+    standard word does not re-sum to it, or None.
+
+    The points are every s with s_0 <= bound, 0 <= s_i <= s_0 and
+    s_i >= s_j for consecutive irreducibles p_i < p_j, enumerated over the
+    whole box; this is the bounded check straightening_semigroup ran before
+    it relied on Hibi's theorem.
+    """
+    for s0 in range(bound + 1):
+        for rest in itertools.product(range(s0 + 1), repeat=sg.rank):
+            s = (s0,) + rest
+            if sg.contains(s) and sg.vector_of_word(sg.standard_word(s).chain) != s:
+                return s
+    return None
+
+
+# -- the character-by-character model tokenizer and parser --------------------
+#
+# Model text as it was read before the regular-expression tokenizer: one
+# frozen token object per token, a recursive value parser, and the same
+# declaration builders (qtoric.model._BUILDERS), so a difference is a
+# difference in reading the text.  One change: a digit is a decimal digit
+# (str.isdecimal, what int() accepts).  With str.isdigit a superscript digit
+# such as '²' reached int() and escaped as a ValueError.
+
+@dataclass(frozen=True)
+class _Tok:
+    kind: str        # "name" | "number" | "punct"
+    text: str
+    col: int
+    value: object = None
+
+
+def _reference_tokenize(line, lineno):
+    out = []
+    i, n = 0, len(line)
+    while i < n:
+        c = line[i]
+        if c in " \t":
+            i += 1
+            continue
+        if c == "#":
+            break
+        col = i + 1
+        if c in "[],=:":
+            out.append(_Tok("punct", c, col))
+            i += 1
+            continue
+        if c == "-" or c.isdecimal():
+            j = i + 1 if c == "-" else i
+            if j >= n or not line[j].isdecimal():
+                raise ModelParseError("expected digits after '-'", lineno, col)
+            k = j
+            while k < n and line[k].isdecimal():
+                k += 1
+            value = int(line[i:k])
+            if k < n and line[k] == "/":
+                start = k2 = k + 1
+                while k2 < n and line[k2].isdecimal():
+                    k2 += 1
+                if k2 == start:
+                    raise ModelParseError("expected digits after '/'", lineno, k + 1)
+                den = int(line[start:k2])
+                if den == 0:
+                    raise ModelParseError("zero denominator", lineno, start)
+                value = Fraction(int(line[i:k]), den)
+                k = k2
+            out.append(_Tok("number", line[i:k], col, value))
+            i = k
+            continue
+        if c.isalpha() or c == "_":
+            k = i
+            while k < n and (line[k].isalnum() or line[k] == "_"):
+                k += 1
+            out.append(_Tok("name", line[i:k], col))
+            i = k
+            continue
+        raise ModelParseError(f"unexpected character {c!r}", lineno, col)
+    return out
+
+
+class _RefCursor:
+    def __init__(self, toks, lineno, end_col):
+        self.toks, self.pos, self.lineno, self.end_col = toks, 0, lineno, end_col
+
+    def done(self):
+        return self.pos >= len(self.toks)
+
+    def peek(self):
+        return None if self.done() else self.toks[self.pos]
+
+    def fail(self, message):
+        col = self.end_col if self.done() else self.toks[self.pos].col
+        raise ModelParseError(message, self.lineno, col)
+
+    def take(self, kind=None, text=None):
+        t = self.peek()
+        if t is None:
+            self.fail(f"expected {text or kind}, found end of line")
+        if kind is not None and t.kind != kind:
+            self.fail(f"expected {text or kind}, found {t.text!r}")
+        if text is not None and t.text != text:
+            self.fail(f"expected {text!r}, found {t.text!r}")
+        self.pos += 1
+        return t
+
+
+def _reference_value(cur):
+    t = cur.peek()
+    if t is None:
+        cur.fail("expected a value")
+    if t.kind == "punct" and t.text == "[":
+        cur.take()
+        items = []
+        nxt = cur.peek()
+        if nxt is not None and nxt.kind == "punct" and nxt.text == "]":
+            cur.take()
+            return items
+        while True:
+            items.append(_reference_value(cur))
+            sep = cur.take("punct")
+            if sep.text == "]":
+                return items
+            if sep.text != ",":
+                raise ModelParseError("expected ',' or ']'", cur.lineno, sep.col)
+    if t.kind == "number":
+        cur.take()
+        return t.value
+    if t.kind == "name":
+        cur.take()
+        return t.text
+    cur.fail("expected a value")
+
+
+def _reference_fields(cur):
+    fields = {}
+    while not cur.done():
+        key_tok = cur.take("name")
+        param = None
+        nxt = cur.peek()
+        if nxt is not None and nxt.kind == "punct" and nxt.text == ":":
+            cur.take()
+            param = cur.take("name").text
+        cur.take("punct", "=")
+        value = _reference_value(cur)
+        key = (key_tok.text, param)
+        if key in fields:
+            raise ModelParseError(f"duplicate field {key_tok.text!r}", cur.lineno, key_tok.col)
+        fields[key] = model_module._Field(value, cur.lineno, key_tok.col)
+    return fields
+
+
+def reference_parse_model(text):
+    """parse_model by the character-by-character tokenizer and cursor."""
+    objects = {kind: {} for kind in model_module._BUILDERS}
+    bound = None
+    taken = {}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        toks = _reference_tokenize(line, lineno)
+        if not toks:
+            continue
+        cur = _RefCursor(toks, lineno, len(line) + 1)
+        head = cur.take("name")
+        if head.text == "bound":
+            t = cur.take("number")
+            if not isinstance(t.value, int) or t.value < 0:
+                raise ModelParseError("bound must be a nonnegative integer", lineno, t.col)
+            if not cur.done():
+                cur.fail("unexpected trailing input after bound")
+            bound = t.value
+            continue
+        if head.text not in model_module._BUILDERS:
+            raise ModelParseError(
+                f"unknown declaration {head.text!r} "
+                "(expected semigroup, cocycle, lattice, or bound)", lineno, head.col)
+        name_tok = cur.take("name")
+        if name_tok.text in taken:
+            raise ModelParseError(
+                f"name {name_tok.text!r} already declared on line {taken[name_tok.text]}",
+                lineno, name_tok.col)
+        taken[name_tok.text] = lineno
+        objects[head.text][name_tok.text] = model_module._BUILDERS[head.text](
+            _reference_fields(cur), lineno)
+    return model_module.ModelFile(objects["semigroup"], objects["cocycle"],
+                                  objects["lattice"], bound)

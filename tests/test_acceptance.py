@@ -121,8 +121,8 @@ def test_criterion_02_twist_reconstruction():
                              ("quantum", quantum_cocycle(dim)),
                              ("shifted", shifted_cocycle(dim))]:
             algebra = TwistedAlgebra(s, alpha)
-            # construction verifies the twisting axiom on the degree <= 3
-            # grid and product agreement on all pairs of total degree <= 5
+            # construction proves the twisting axiom and product agreement
+            # in every degree; the bounds 3 and 5 bound nothing
             system = algebra.twisting_system(axiom_bound=3, product_bound=5)
             x = algebra.monomial(s.generators[0])
             y = algebra.monomial(s.generators[-1])

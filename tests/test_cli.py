@@ -2,6 +2,7 @@ import hashlib
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -166,3 +167,33 @@ def test_self_check_corruption_exits_4(capsys):
     assert rc == 4
     assert "internal verification failure" in err
     assert "corruption detected at triple" in err
+
+
+def test_twenty_element_chain_is_cheap(capsys, tmp_path):
+    # straightening needs no staircase scan and the Birkhoff data no subset
+    # enumeration, so a 20-element chain (19 irreducibles) is quick; the
+    # regularity report is refused by the cone dimension limit
+    labels = [f"c{i}" for i in range(20)]
+    covers = ",".join(f"[c{i},c{i + 1}]" for i in range(19))
+    path = tmp_path / "chain.model"
+    path.write_text(f"lattice C elements=[{','.join(labels)}] covers=[{covers}]\n"
+                    "cocycle t dim=20 params=[q]\n", encoding="utf-8")
+    start = time.monotonic()
+    rc, out, err = run(capsys, ["straighten", "C", "t", "c19,c3,c7"], model=str(path))
+    assert rc == 0, err
+    assert "standard = [c3,c7,c19]" in out
+    assert time.monotonic() - start < 2.0
+    start = time.monotonic()
+    rc, out, err = run(capsys, ["lattice", "C"], model=str(path))
+    assert rc == 3 and out == ""
+    assert err == "error: dimension 20 exceeds the supported limit of 7\n"
+    assert time.monotonic() - start < 2.0
+
+
+def test_deeply_nested_model_value_exits_2(capsys, tmp_path):
+    path = tmp_path / "deep.model"
+    path.write_text("semigroup A gens=" + "[" * 5000 + "1" + "]" * 5000 + "\n",
+                    encoding="utf-8")
+    rc, out, err = run(capsys, ["analyze", "A"], model=str(path))
+    assert rc == 2 and out == ""
+    assert err == "error: line 1, column 13: gens entries must be integers\n"

@@ -11,7 +11,9 @@ from qtoric import (Cocycle, DimensionError, DistLattice, PreconditionError,
                     straighten, straightening_semigroup)
 
 from .conftest import M3_COVERS, N5_COVERS, quantum_cocycle
-from .oracles import (join_irreducibles_by_joins, product_chain_straighten,
+from .oracles import (all_posets_up_to, join_irreducibles_by_joins,
+                      naturally_labeled_posets, product_chain_straighten,
+                      scanned_lattice_tables, staircase_round_trip_mismatch,
                       standard_chains_with_sum)
 
 TRI3 = Cocycle.bicharacter(3, {"q": [[0, 1, 0], [0, 0, 0], [1, 0, 0]]})
@@ -36,18 +38,53 @@ def test_lattice_construction_errors():
         DistLattice.from_covers(["a", "a"], [])
     with pytest.raises(QtoricError):
         DistLattice.from_covers(["a", "b"], [("a", "zz")])
-    with pytest.raises(QtoricError):
+    with pytest.raises(QtoricError, match=r"^not a lattice: b and c have no join$"):
         # two maximal elements have no join
         DistLattice.from_covers(["a", "b", "c"], [("a", "b"), ("a", "c")])
-    with pytest.raises(QtoricError):
+    with pytest.raises(QtoricError, match=r"^order is not antisymmetric: a and b$"):
         DistLattice.from_covers(["a", "b"], [("a", "b"), ("b", "a")])
+    with pytest.raises(QtoricError, match=r"^order is not transitive$"):
+        DistLattice(3, [[1, 1, 0], [0, 1, 1], [0, 0, 1]])
 
 
 def test_non_distributive_witnesses():
-    with pytest.raises(QtoricError, match="witness"):
+    with pytest.raises(QtoricError, match=r"^lattice is not distributive; "
+                                          r"witness triple \(a, b, c\)$"):
         DistLattice.from_covers(*M3_COVERS)
-    with pytest.raises(QtoricError, match="witness"):
+    with pytest.raises(QtoricError, match=r"^lattice is not distributive; "
+                                          r"witness triple \(b, a, c\)$"):
         DistLattice.from_covers(*N5_COVERS)
+
+
+def test_birkhoff_certificate_agrees_with_table_scan():
+    # every order on at most 6 elements, M3 and N5 among them, with its
+    # elements in a natural order and in a shuffled one: the same decision,
+    # the same refusal message and the same meet and join tables
+    rng = random.Random(8)
+    decisions = {}
+    for n in range(1, 7):
+        for pairs in naturally_labeled_posets(n):
+            shuffled = list(range(n))
+            rng.shuffle(shuffled)
+            for ids in (range(n), shuffled):
+                labels = [f"e{i}" for i in range(n)]
+                strict = {(ids[a], ids[b]) for a, b in pairs}
+                try:
+                    lat = DistLattice.from_covers(
+                        labels, [(labels[a], labels[b]) for a, b in strict])
+                    got = (lat.meet, lat.join)
+                except QtoricError as exc:
+                    got = str(exc)
+                leq = [[a == b or (a, b) in strict for b in range(n)] for a in range(n)]
+                try:
+                    want = scanned_lattice_tables(leq, labels)
+                except QtoricError as exc:
+                    want = str(exc)
+                assert got == want, (labels, sorted(strict))
+                kind = ("lattice" if isinstance(got, tuple) else
+                        "not distributive" if "distributive" in got else "not a lattice")
+                decisions[kind] = decisions.get(kind, 0) + 1
+    assert decisions == {"lattice": 34, "not a lattice": 10360, "not distributive": 68}
 
 
 def test_join_irreducibles_examples(chain2, chain3, diamond):
@@ -105,6 +142,50 @@ def test_ideal_lattice_shapes():
     assert ideal_lattice(0, []).size == 1
     with pytest.raises(QtoricError):
         ideal_lattice(2, [(0, 1), (1, 0)])
+
+
+def test_staircase_points_round_trip(chain2, chain3, diamond):
+    # Hibi's theorem, checked on the box s_0 <= 4 that straightening_semigroup
+    # used to scan
+    lattices = [chain2, chain3, diamond]
+    lattices += [ideal_lattice(n, sorted(rel)) for n, rel in all_posets_up_to(4)]
+    for lat in lattices:
+        sg = straightening_semigroup(lat, image_bound=7)
+        assert sg.image_bound == 7
+        assert staircase_round_trip_mismatch(sg, 4) is None
+    sg = straightening_semigroup(diamond)
+    honest = sg.standard_word
+    sg.standard_word = lambda s: StandardWord(honest(s).chain[1:])
+    assert staircase_round_trip_mismatch(sg, 4) == (1, 0, 0)
+
+
+def test_hibi_criteria_on_posets_up_to_4():
+    # Hibi (1987): the Hibi ring of J(P) is Gorenstein iff P is pure (all
+    # maximal chains have the same length), and it is a polynomial ring iff
+    # P is a chain
+    tally = {"pure": 0, "chain": 0}
+    for n, rel in all_posets_up_to(4):
+        above = {a: {c for b, c in rel if b == a} for a in range(n)}
+
+        def upper_covers(e):
+            return [c for c in above[e] if not any(c in above[d] for d in above[e])]
+
+        def chain_lengths(e):
+            # element counts of the maximal chains that start at e
+            ups = upper_covers(e)
+            return {1 + k for c in ups for k in chain_lengths(c)} if ups else {1}
+
+        minimal = [e for e in range(n) if not any(e in above[d] for d in range(n))]
+        pure = len(set().union(*map(chain_lengths, minimal)) or {0}) == 1
+        chain = len(rel) == n * (n - 1) // 2
+        lat = ideal_lattice(n, sorted(rel))
+        rep = lattice_algebra_report(
+            lat, quantum_cocycle(len(lat.join_irreducibles()) + 1)).regularity
+        assert (rep.as_gorenstein == "yes") == pure, (n, rel)
+        assert rep.as_regular == chain, (n, rel)
+        tally["pure"] += pure
+        tally["chain"] += chain
+    assert tally == {"pure": 18, "chain": 5}
 
 
 def test_str_embedding_2chain(chain2):

@@ -1,8 +1,11 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qtoric import ModelParseError, ScalarMonomial, load_model, parse_model
+
+from .oracles import reference_parse_model
 
 FULL_MODEL = """\
 # a commented header line
@@ -107,6 +110,17 @@ def test_error_positions():
         ("lattice L elements=[a,b] covers=[[a,zz]]", 1, 1, "unknown element"),
         ("semigroup A gens=[[1,0]]\ncocycle A dim=2 params=[q]", 2, 9,
          "already declared on line 1"),
+        ("semigroup A gens=:", 1, 18, "expected a value"),
+        ("semigroup A gens=[,]", 1, 19, "expected a value"),
+        ("semigroup A gens=[[1:0]]", 1, 21, "expected ',' or ']'"),
+        ("semigroup A gens=[[1,0]", 1, 24, "expected punct, found end of line"),
+        ("semigroup A gens=[[1,0] x", 1, 25, "expected punct, found 'x'"),
+        ("semigroup A gens=[[1,0]]]", 1, 25, "expected name, found ']'"),
+        ("semigroup A gens=[[1/,0]]", 1, 21, "expected digits after '/'"),
+        ("semigroup A gens", 1, 17, "expected =, found end of line"),
+        ("semigroup 7 gens=[[1]]", 1, 11, "expected name, found '7'"),
+        ("cocycle c dim=2 params=[q] bichar:=[[0]]", 1, 35, "expected name, found '='"),
+        ("bound 1/2", 1, 7, "bound must be a nonnegative integer"),
     ]
     for text, line, col, fragment in cases:
         with pytest.raises(ModelParseError) as exc:
@@ -139,3 +153,88 @@ def test_load_model(tmp_path):
         load_model(str(tmp_path / "missing.model"))
     assert exc.value.line == 0
     assert "cannot read model file" in str(exc.value)
+
+
+def test_non_decimal_digits_are_unexpected_characters():
+    # str.isdigit accepts these but int() does not; they must not reach it
+    cases = [
+        ("bound ²", 1, 7, "unexpected character '²'"),
+        ("bound 1²", 1, 8, "unexpected character '²'"),
+        ("bound -²", 1, 7, "expected digits after '-'"),
+        ("bound 1/²", 1, 8, "expected digits after '/'"),
+        ("semigroup A gens=[[½]]", 1, 20, "unexpected character '½'"),
+        ("bound 1/٠", 1, 8, "zero denominator"),
+    ]
+    for text, line, col, fragment in cases:
+        with pytest.raises(ModelParseError) as exc:
+            parse_model(text)
+        assert (exc.value.line, exc.value.column) == (line, col), text
+        assert fragment in str(exc.value), text
+    # decimal digits of any script are numbers, and letters of any script names
+    m = parse_model("semigroup é٣ gens=[[٣],[2]]\nbound ٤")
+    assert m.semigroup("é٣").generators == ((3,), (2,))
+    assert m.bound == 4
+
+
+VALID_LINES = [
+    "semigroup A1 gens=[[1,0],[1,1],[1,2]]",
+    "semigroup S gens=[[1,-1],[1,1]]  # a comment",
+    "cocycle c dim=2 params=[q,r] bichar:q=[[0,1],[0,0]] quad:r=[[0,1/2],[1/2,0]] lin:q=[1,-3/4]",
+    "cocycle t dim=1 params=[q]",
+    "lattice D elements=[bot,x,y,top] covers=[[bot,x],[bot,y],[x,top],[y,top]]",
+    "lattice C elements=[a,b,c] covers=[[a,b],[b,c]]",
+    "\tbound 4",
+    "",
+    "# only a comment",
+]
+MUTATION_TEXT = [" ", "\t", "[", "]", ",", "=", ":", "-", "/", "#", "_", "0", "7", "12",
+                 "1/0", "a", "q", "x", "gens", "bound", "é", "٣", "²", "½", "\u00a0", "[[", "]]",
+                 "=:", ":=", "=,", "[,", ",]", "[]", "=]", "-1/", "/2", "//"]
+
+
+@st.composite
+def mutated_models(draw):
+    lines = draw(st.lists(st.sampled_from(VALID_LINES), min_size=1, max_size=4,
+                         unique=True))
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        line = lines[k]
+        i = draw(st.integers(0, len(line)))
+        j = draw(st.integers(i, min(len(line), i + 4)))
+        op = draw(st.sampled_from(["insert", "delete", "replace", "repeat"]))
+        if op == "insert":
+            line = line[:i] + draw(st.sampled_from(MUTATION_TEXT)) + line[i:]
+        elif op == "delete":
+            line = line[:i] + line[j:]
+        elif op == "replace":
+            line = line[:i] + draw(st.sampled_from(MUTATION_TEXT)) + line[j:]
+        else:
+            line = line[:j] + line[i:j] + line[j:]
+        lines[k] = line
+    return "\n".join(lines)
+
+
+def _outcome(parse, text):
+    try:
+        m = parse(text)
+    except ModelParseError as exc:
+        return ("refused", str(exc), exc.line, exc.column)
+    return ("parsed",
+            {name: s.generators for name, s in m.semigroups.items()},
+            m.cocycles,
+            {name: (lat.labels, lat.leq, lat.meet, lat.join)
+             for name, lat in m.lattices.items()},
+            m.bound)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(mutated_models())
+def test_parser_agrees_with_reference_on_mutated_models(text):
+    assert _outcome(parse_model, text) == _outcome(reference_parse_model, text)
+
+
+def test_reference_parser_agrees_on_valid_models():
+    text = "\n".join(VALID_LINES)
+    outcome = _outcome(parse_model, text)
+    assert outcome[0] == "parsed" and outcome[-1] == 4
+    assert outcome == _outcome(reference_parse_model, text)
