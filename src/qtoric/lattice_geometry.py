@@ -187,7 +187,7 @@ class Facet:
     incident: frozenset[int]
 
 
-def _check_limits(n_gens: int, dim: int) -> None:
+def check_cone_limits(n_gens: int, dim: int) -> None:
     if n_gens > MAX_CONE_GENERATORS:
         raise SizeLimitError(
             f"{n_gens} generators exceed the supported limit of {MAX_CONE_GENERATORS}")
@@ -203,7 +203,7 @@ def cone_facets(cone: Cone) -> list[Facet]:
     """
     gens = [g for g in cone.generators if not is_zero(g)]
     d = cone.ambient_dim
-    _check_limits(len(gens), d)
+    check_cone_limits(len(gens), d)
     if linalg.int_rank(gens) != d:
         raise PreconditionError(
             f"cone is not full-dimensional (rank {linalg.int_rank(gens)} < {d}); "
@@ -289,7 +289,7 @@ def hilbert_basis(cone: Cone, lattice: Sublattice, max_points: int = 200_000) ->
             rays.append(ray)
     if not rays:
         return []
-    _check_limits(len(rays), d)
+    check_cone_limits(len(rays), d)
     if linalg.int_rank(rays) != d:
         raise PreconditionError(
             "cone is not full-dimensional in the lattice span "

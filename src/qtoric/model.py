@@ -33,9 +33,12 @@ def _is_number(tok: str) -> bool:
     return tok[0] == "-" or tok[0].isdecimal()
 
 
-def _number(tok: str) -> int | Fraction:
+def _number(tok: str, lineno: int, col: int) -> int | Fraction:
     num, _, den = tok.partition("/")
-    return Fraction(int(num), int(den)) if den else int(num)
+    try:
+        return Fraction(int(num), int(den)) if den else int(num)
+    except ValueError:  # more digits than Python converts to an integer
+        raise ModelParseError("number has too many digits", lineno, col) from None
 
 
 def _check_lexemes(parts: list[str], lineno: int) -> None:
@@ -48,7 +51,7 @@ def _check_lexemes(parts: list[str], lineno: int) -> None:
                        else f"unexpected character {rest[0]!r}")
             raise ModelParseError(message, lineno, col + len(part) - len(rest))
         den = part.partition("/")[2]
-        if k % 2 and "/" in part and (not den or int(den) == 0):
+        if k % 2 and "/" in part and not any(map(int, den)):
             message = "zero denominator" if den else "expected digits after '/'"
             raise ModelParseError(message, lineno, col + part.index("/"))
         if k % 2 and not (_is_number(part) or part[0] in _PUNCT + "_" or part[0].isalpha()):
@@ -114,7 +117,7 @@ def _parse_value(cur: _Cursor):
         if t == "[" and (i >= n or toks[i] != "]"):
             open_lists.append([])
             continue
-        value = [] if t == "[" else _number(t) if _is_number(t) else t
+        value = [] if t == "[" else _number(t, cur.lineno, cur.cols[i - 1]) if _is_number(t) else t
         i += t == "["  # the "]" of an empty list
         while open_lists:
             open_lists[-1].append(value)
@@ -324,7 +327,7 @@ def parse_model(text: str) -> ModelFile:
             continue
         head = cur.take("name")
         if head == "bound":
-            value = _number(cur.take("number"))
+            value = _number(cur.take("number"), lineno, cur.col())
             if not isinstance(value, int) or value < 0:
                 raise ModelParseError("bound must be a nonnegative integer",
                                       lineno, cur.col())

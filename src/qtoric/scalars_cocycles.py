@@ -377,7 +377,7 @@ def commutation_matrix(alpha: Cocycle, gens: Sequence[IntVec]):
 @dataclass(frozen=True)
 class CohomologyResult:
     cohomologous: bool
-    witness: Cocycle | None          # pure coboundary with alpha == witness * beta
+    witness: Cocycle | None          # coboundary on basis coordinates: alpha == witness * beta
     distinguishing_pair: tuple[IntVec, IntVec] | None
 
     def witness_f(self, s: Sequence[int]) -> ScalarMonomial:
@@ -388,14 +388,16 @@ class CohomologyResult:
 
 def are_cohomologous(alpha: Cocycle, beta: Cocycle,
                      group_basis: Sequence[IntVec] | None = None) -> CohomologyResult:
-    """Decide alpha ~ beta over the same parameters; exact.
+    """Decide alpha ~ beta over the same parameters on the lattice spanned by
+    ``group_basis`` (default: the standard basis of Z^dim); exact.
 
-    Two closed-form cocycles are cohomologous iff their skew-symmetrized
-    exponent forms agree; checked by evaluating on all basis pairs.  On
-    success the witness is the explicit coboundary of
-    f(s) = prod_k c_k^(-s^T (D_k/2) s) with D_k the symmetric difference of
-    the full forms, and the identity alpha == (coboundary of f) * beta is
-    re-verified on the basis pairs and a small grid.
+    With B the r basis rows, closed-form cocycles are cohomologous there iff
+    the restricted differences D_k = B (C_k(alpha) - C_k(beta)) B^T are
+    symmetric (their skew parts agree); else the first basis pair with an
+    asymmetric entry distinguishes them.  The witness is the coboundary on
+    Z^r, in B-coordinates, of f(x) = prod_k c_k^(-x^T (D_k/2) x), and
+    alpha(xB, yB) == witness(x, y) * beta(xB, yB) is re-verified on the unit
+    vectors and a small grid.
     """
     if alpha.dim != beta.dim:
         raise DimensionError("cocycles live on different lattices")
@@ -405,21 +407,25 @@ def are_cohomologous(alpha: Cocycle, beta: Cocycle,
     dim = alpha.dim
     if group_basis is None:
         group_basis = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
-    for u, v in itertools.product(group_basis, repeat=2):
-        if alpha(u, v) / alpha(v, u) != beta(u, v) / beta(v, u):
-            return CohomologyResult(False, None, (u, v))
-    quad = {}
-    for k, p in enumerate(alpha.params):
+    if any(len(b) != dim for b in group_basis):
+        raise DimensionError(f"group basis vectors must have length {dim}")
+    diffs = []
+    for k in range(len(alpha.params)):
         ca, cb = alpha.full_form(k), beta.full_form(k)
         d = [[ca[i][j] - cb[i][j] for j in range(dim)] for i in range(dim)]
-        if any(d[i][j] != d[j][i] for i in range(dim) for j in range(dim)):
-            raise QtoricError("skew parts agree but difference is not symmetric")
-        if any(x for row in d for x in row):
-            quad[p] = [[-Fraction(d[i][j], 2) for j in range(dim)] for i in range(dim)]
-    witness = Cocycle.trivial(dim, alpha.params).with_coboundary(quad=quad)
-    sample = list(group_basis) + [tuple(2 if i == j else -1 for j in range(dim))
-                                  for i in range(dim)]
-    for u, v in itertools.product(sample, repeat=2):
-        if witness(u, v) * beta(u, v) != alpha(u, v):
+        diffs.append([[_bilinear(u, d, v) for v in group_basis] for u in group_basis])
+    for (i, u), (j, v) in itertools.product(enumerate(group_basis), repeat=2):
+        if any(d[i][j] != d[j][i] for d in diffs):
+            return CohomologyResult(False, None, (u, v))
+    r = len(group_basis)
+    quad = {p: [[-Fraction(x, 2) for x in row] for row in d]
+            for p, d in zip(alpha.params, diffs) if any(x for row in d for x in row)}
+    witness = Cocycle.trivial(r, alpha.params).with_coboundary(quad=quad)
+    sample = [tuple(int(i == j) for j in range(r)) for i in range(r)] + [
+        tuple(2 if i == j else -1 for j in range(r)) for i in range(r)]
+    through_b = {x: tuple(sum(c * b[k] for c, b in zip(x, group_basis)) for k in range(dim))
+                 for x in sample}
+    for x, y in itertools.product(sample, repeat=2):
+        if witness(x, y) * beta(through_b[x], through_b[y]) != alpha(through_b[x], through_b[y]):
             raise QtoricError("coboundary witness failed verification")
     return CohomologyResult(True, witness, None)

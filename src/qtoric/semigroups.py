@@ -16,8 +16,9 @@ from . import linalg
 from .errors import (DimensionError, NotNormalError, PreconditionError,
                      SizeLimitError, VerificationError)
 from .lattice_geometry import (Cone, Facet, IntVec, Sublattice, as_vec,
-                               cone_facets, hilbert_basis, is_zero,
-                               lattice_of, vadd, vdot, vsub, zero_vec)
+                               check_cone_limits, cone_facets, hilbert_basis,
+                               is_zero, lattice_of, primitive, vadd, vdot, vsub,
+                               zero_vec)
 
 
 @dataclass(frozen=True)
@@ -222,9 +223,11 @@ class AffineSemigroup:
     def _normality(self) -> "NormalityCertificate":
         if self.is_trivial() or self.rank == 0:
             return NormalityCertificate(True, (), None, None)
-        emb = self.full_embedding()
-        s_emb = emb.semigroup
         try:
+            # the Hilbert-basis limits on its count of rays, before the embedding
+            check_cone_limits(len({primitive(g) for g in self.generators}), self.rank)
+            emb = self.full_embedding()
+            s_emb = emb.semigroup
             hb = hilbert_basis(s_emb.cone, Sublattice.standard(emb.rank))
         except SizeLimitError as exc:
             # a size refusal is final for this semigroup: keep it

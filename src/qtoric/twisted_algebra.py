@@ -12,16 +12,18 @@ the proof is exact in every degree.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
-from .errors import DimensionError, PreconditionError, SizeLimitError, VerificationError
-from .lattice_geometry import Facet, IntVec, as_vec, vadd, vneg, zero_vec
+from . import linalg
+from .errors import DimensionError, PreconditionError, VerificationError
+from .lattice_geometry import Facet, IntVec, as_vec, vadd, vneg, vsub, zero_vec
 from .scalars_cocycles import Cocycle, Scalar, ScalarMonomial, commutation_matrix
 from .semigroups import (AffineSemigroup, FacetSemigroup, elements_by_degree,
                          facet_subsemigroup)
+
+PAIR_SEARCH_DEGREE = 10  # the degree window of the canonical pairs of a positive S
 
 
 class TwistedElement:
@@ -216,13 +218,18 @@ class TwistedAlgebra:
 
     # -- quantum torus embedding ---------------------------------------------
 
-    def torus_embedding(self, search_degree: int = 10) -> "TorusEmbedding":
+    def torus_embedding(self) -> "TorusEmbedding":
         """Embed A into a quantum torus on Y_0..Y_n, one Y per lattice direction.
 
-        Requires a full semigroup.  For each standard basis vector e_i a pair
-        s_i, t_i in S with s_i - t_i = e_i is found by bounded search, and
-        Y_i = X^(s_i) (X^(t_i))^(-1).  Returns the exact commutation matrix of
-        the Y's and, per generator g, the scalar with X^g = scalar * Y^g.
+        Total on every full semigroup.  Y_i = X^(s_i) (X^(t_i))^(-1) for a pair
+        s_i - t_i = e_i in S: a positive S takes the lexicographically smallest
+        t of degree <= PAIR_SEARCH_DEGREE with t + e_i in S; otherwise s_i and
+        t_i are the positive and the negative part of an integer solution
+        e_i = sum_j lambda_j g_j.  All data are exact closed forms in alpha:
+        Y_i = alpha(s_i, -t_i) / alpha(t_i, -t_i) X^(e_i),
+        q_ij = alpha(e_i, e_j) / alpha(e_j, e_i) and X^g = c Y_0^(g_0)...Y_n^(g_n),
+        where 1/c is the product of the Y_i scalars to the g_i, the word scalar
+        of (g_0 e_0, ..., g_n e_n) and the alpha(e_i, e_i)^(g_i (g_i - 1) / 2).
         """
         if self.domain is None or isinstance(self.domain, FacetSemigroup):
             raise PreconditionError("torus embedding starts from a semigroup algebra")
@@ -232,52 +239,32 @@ class TwistedAlgebra:
                 f"semigroup group of fractions has rank {s_gp.rank} inside "
                 f"Z^{s_gp.ambient_dim} or is a proper sublattice; embed fully first",
                 certificate=s_gp.group)
-        torus = self.torus()
-        dim = self.dim
-        elements = sorted(v for layer in
-                          elements_by_degree(s_gp, search_degree).values() for v in layer) \
-            if s_gp.positive else None
+        alpha, dim, gens = self.cocycle, self.dim, s_gp.generators
+        basis = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+        window = sorted(v for layer in elements_by_degree(s_gp, PAIR_SEARCH_DEGREE).values()
+                        for v in layer) if s_gp.positive else []
         pairs: list[tuple[IntVec, IntVec]] = []
-        for i in range(dim):
-            e_i = tuple(int(j == i) for j in range(dim))
-            found = None
-            candidates = elements if elements is not None else \
-                sorted(_signed_box(dim, search_degree))
-            for t in candidates:
-                if s_gp.contains(t) and s_gp.contains(vadd(t, e_i)):
-                    found = (vadd(t, e_i), t)
-                    break
-            if found is None:
-                raise SizeLimitError(
-                    f"no pair s - t = e_{i} found within search degree {search_degree}")
-            pairs.append(found)
-        ys = []
-        for s, t in pairs:
-            xs = torus.monomial(s)
-            xt_inv = torus.monomial_inverse(torus.monomial(t))
-            ys.append(torus.product(xs, xt_inv))
-        q_matrix = []
-        for yi in ys:
-            row = []
-            for yj in ys:
-                cij, _ = torus.product(yi, yj).leading_term()
-                cji, _ = torus.product(yj, yi).leading_term()
-                row.append(cij.as_monomial() / cji.as_monomial())
-            q_matrix.append(tuple(row))
-        for i in range(dim):
-            for j in range(dim):
-                if not (q_matrix[i][j] * q_matrix[j][i]).is_one():
-                    raise VerificationError("commutation matrix is not skew-symmetric")
+        for e_i in basis:
+            pair = next(((vadd(t, e_i), t) for t in window if s_gp.contains(vadd(t, e_i))), None)
+            if pair is None:
+                # s_i collects the positive terms of e_i = sum_j lambda_j g_j
+                lam = linalg.solve_integer(linalg.transpose(gens), e_i)
+                s = tuple(sum(l * g[k] for l, g in zip(lam, gens) if l > 0) for k in range(dim))
+                pair = (s, vsub(s, e_i))
+            pairs.append(pair)
+        y_scalars = [alpha(s, vneg(t)) / alpha(t, vneg(t)) for s, t in pairs]
+        q_matrix = commutation_matrix(alpha, basis)
+        if not all((q_matrix[i][j] * q_matrix[j][i]).is_one()
+                   for i in range(dim) for j in range(dim)):
+            raise VerificationError("commutation matrix is not skew-symmetric")
         gen_scalars = {}
-        for g in s_gp.generators:
-            y_pow = torus.one()
-            for i in range(dim):
-                y_pow = torus.product(y_pow, torus.power(ys[i], g[i]))
-            coeff, expo = y_pow.leading_term()
-            if expo != g or len(y_pow.terms) != 1:
-                raise VerificationError(f"Y-monomial for generator {list(g)} is not X^g-parallel")
-            gen_scalars[g] = coeff.as_monomial().inverse()
-        return TorusEmbedding(tuple(q_matrix), tuple(pairs), tuple(ys), gen_scalars)
+        for g in gens:
+            c = alpha.word_scalar([tuple(k * x for x in e) for k, e in zip(g, basis)])
+            for k, e, y in zip(g, basis, y_scalars):
+                c = c * y ** k * alpha(e, e) ** (k * (k - 1) // 2)
+            gen_scalars[g] = c.inverse()
+        ys = tuple(TwistedElement({e: y}) for e, y in zip(basis, y_scalars))
+        return TorusEmbedding(q_matrix, tuple(pairs), ys, gen_scalars)
 
     # -- facet localization ----------------------------------------------------
 
@@ -303,10 +290,6 @@ class TwistedAlgebra:
                     raise VerificationError("q_tau is not multiplicatively skew-symmetric")
         algebra = TwistedAlgebra(fs, self.cocycle)
         return FacetLocalization(algebra, fs, q_tau, t_vecs)
-
-
-def _signed_box(dim: int, radius: int) -> Iterable[IntVec]:
-    return itertools.product(range(-radius, radius + 1), repeat=dim)
 
 
 @dataclass(frozen=True)
@@ -341,13 +324,17 @@ class TwistingSystem:
 
 @dataclass(frozen=True)
 class TorusEmbedding:
-    """Exact data of the embedding into a quantum torus.
+    """Exact data of the embedding into a quantum torus; every full S has one.
 
-    ``pairs[i]`` is (s_i, t_i) with s_i - t_i = e_i; ``y_monomials[i]`` the
-    resulting unit Y_i (a monomial with exponent e_i); ``q_matrix`` the exact
-    commutation scalars of the Y's; ``generator_scalars[g]`` the scalar with
-    X^g = scalar * Y^g (ordered product).  The inverse direction is monomial:
-    Y_i is literally a Laurent monomial in the X's via pairs[i].
+    ``pairs[i]`` is (s_i, t_i) in S with s_i - t_i = e_i: for a positive S the
+    lexicographically smallest t_i of degree <= 10 with t_i + e_i in S, else
+    the positive and negative parts of an integer solution
+    e_i = sum_j lambda_j g_j.  ``y_monomials[i]`` is the resulting unit Y_i
+    (a monomial with exponent e_i); ``q_matrix`` the commutation scalars of
+    the Y's; ``generator_scalars[g]`` the scalar with X^g = scalar * Y^g
+    (ordered product).  All scalars are exact closed forms in the cocycle.
+    The inverse direction is monomial: Y_i is literally a Laurent monomial in
+    the X's via pairs[i].
     """
 
     q_matrix: tuple[tuple[ScalarMonomial, ...], ...]

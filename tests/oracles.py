@@ -14,7 +14,7 @@ import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 
 from qtoric import (ModelParseError, QtoricError, ScalarMonomial, StandardWord,
-                    TwistedAlgebra, elements_by_degree, linalg)
+                    TorusEmbedding, TwistedAlgebra, elements_by_degree, linalg)
 from qtoric import model as model_module
 
 
@@ -505,6 +505,41 @@ def product_chain_straighten(sg, cocycle, word):
     std_coeff, std_expo = chain_product(standard.chain)
     assert std_expo == expo
     return coeff.as_monomial() / std_coeff.as_monomial(), standard
+
+
+def product_chain_torus_embedding(algebra, pairs=None, search_degree=10):
+    """The quantum-torus embedding by torus products.
+
+    Y_i = X^(s_i) (X^(t_i))^(-1); q_ij is the ratio of the leading
+    coefficients of Y_i Y_j and Y_j Y_i; the scalar of a generator g inverts
+    the coefficient of the power/product chain Y_0^(g_0)...Y_n^(g_n), which
+    must be a single term on X^g.  Without ``pairs`` (positive S only) they
+    are searched: the lexicographically smallest member t of degree
+    <= search_degree with t + e_i in S.
+    """
+    s_gp, dim = algebra.domain, algebra.dim
+    torus = algebra.torus()
+    if pairs is None:
+        members = sorted(v for layer in elements_by_degree(s_gp, search_degree).values()
+                         for v in layer)
+        pairs = []
+        for i in range(dim):
+            shifted = (tuple(a + int(j == i) for j, a in enumerate(t)) for t in members)
+            pairs.append(next((s, t) for s, t in zip(shifted, members) if s_gp.contains(s)))
+    ys = tuple(torus.product(torus.monomial(s), torus.monomial_inverse(torus.monomial(t)))
+               for s, t in pairs)
+    q_matrix = tuple(tuple(torus.product(yi, yj).leading_term()[0].as_monomial()
+                           / torus.product(yj, yi).leading_term()[0].as_monomial()
+                           for yj in ys) for yi in ys)
+    scalars = {}
+    for g in s_gp.generators:
+        y_pow = torus.one()
+        for i in range(dim):
+            y_pow = torus.product(y_pow, torus.power(ys[i], g[i]))
+        (expo, coeff), = y_pow.terms.items()
+        assert expo == g, f"Y-monomial for generator {list(g)} is not X^g-parallel"
+        scalars[g] = coeff.as_monomial().inverse()
+    return TorusEmbedding(q_matrix, tuple(pairs), ys, scalars)
 
 
 def twisting_system_mismatch(algebra, axiom_bound, product_bound):

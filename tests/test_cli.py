@@ -117,6 +117,9 @@ def test_parse_error_exits_2(capsys, tmp_path):
     rc, out, err = run(capsys, ["analyze", "A"], model=str(bad))
     assert rc == 2
     assert "line 1, column 18" in err
+    bad.write_text("bound " + "1" * 5000 + "\n", encoding="utf-8")
+    rc, out, err = run(capsys, ["analyze", "A"], model=str(bad))
+    assert rc == 2 and err == "error: line 1, column 7: number has too many digits\n"
 
 
 def test_missing_model_exits_2(capsys, tmp_path):

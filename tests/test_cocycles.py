@@ -263,6 +263,26 @@ def test_cohomologous_custom_basis(upper, lower):
     assert res.cohomologous
 
 
+def test_cohomologous_on_sublattice_basis(upper, triv2):
+    # rank-1 sublattices see no skew part, so upper ~ trivial there; the
+    # witness is a coboundary on Z^1 in the coordinates of the basis
+    for basis in ([(1, 1)], [(1, 0)]):
+        res = are_cohomologous(upper, triv2, group_basis=basis)
+        assert res.cohomologous and res.witness.dim == 1
+        (b,) = basis
+        for x, y in itertools.product(range(-3, 4), repeat=2):
+            u, v = tuple(x * c for c in b), tuple(y * c for c in b)
+            assert res.witness((x,), (y,)) * triv2(u, v) == upper(u, v)
+    assert are_cohomologous(upper, triv2, group_basis=[(1, 1)]).witness_f((3,)) == \
+        ScalarMonomial.param("q", -Fraction(9, 2))
+    # an index-1 basis other than the standard one still distinguishes them
+    res = are_cohomologous(upper, triv2, group_basis=[(1, 1), (1, 2)])
+    assert not res.cohomologous and res.witness is None
+    assert res.distinguishing_pair == ((1, 1), (1, 2))
+    with pytest.raises(DimensionError):
+        are_cohomologous(upper, triv2, group_basis=[(1, 1, 0)])
+
+
 def test_skew_and_full_forms(upper, shifted):
     assert upper.full_form(0) == ((0, 1), (0, 0))
     # B - Q - Q^T: the symmetric shift moves the exponent below the diagonal

@@ -121,6 +121,11 @@ def test_error_positions():
         ("semigroup 7 gens=[[1]]", 1, 11, "expected name, found '7'"),
         ("cocycle c dim=2 params=[q] bichar:=[[0]]", 1, 35, "expected name, found '='"),
         ("bound 1/2", 1, 7, "bound must be a nonnegative integer"),
+        # beyond Python's 4,300-digit limit on integer strings
+        ("bound " + "1" * 5000, 1, 7, "number has too many digits"),
+        ("cocycle c dim=1 params=[q] quad:q=[[1/" + "1" * 5000 + "]]", 1, 37,
+         "number has too many digits"),
+        ("bound 1/" + "1" * 5000 + " \u00a7", 1, 5010, "unexpected character '\u00a7'"),
     ]
     for text, line, col, fragment in cases:
         with pytest.raises(ModelParseError) as exc:

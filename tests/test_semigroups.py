@@ -166,6 +166,31 @@ def test_normality_size_refusal_passes_through_and_is_cached(monkeypatch):
         regularity_report(s)
 
 
+def test_cone_limits_are_checked_before_the_embedding(monkeypatch):
+    built = []
+    full_embedding = AffineSemigroup.full_embedding
+    monkeypatch.setattr(AffineSemigroup, "full_embedding",
+                        lambda self: built.append(self) or full_embedding(self))
+    # the Hibi semigroup of an 8-element chain: rank 8, 8 rays
+    chain = AffineSemigroup([tuple(int(j <= i) for j in range(8)) for i in range(8)])
+    with pytest.raises(SizeLimitError) as exc:
+        chain.normality()
+    assert str(exc.value) == "dimension 8 exceeds the supported limit of 7"
+    assert built == []
+    with pytest.raises(SizeLimitError) as again:
+        chain.normality()
+    assert again.value is exc.value
+    # 22 generators on 21 distinct rays: the generator limit, which counts
+    # rays, still comes before the dimension limit
+    units = [tuple(int(j == i) for j in range(8)) for i in range(8)]
+    many = AffineSemigroup(units + [(2,) + (0,) * 7]
+                           + [(1, k) + (0,) * 6 for k in range(1, 14)])
+    with pytest.raises(SizeLimitError) as exc:
+        many.normality()
+    assert str(exc.value) == "21 generators exceed the supported limit of 20"
+    assert built == []
+
+
 def test_normality_line_is_a_pointedness_failure():
     s = AffineSemigroup([(1, 0), (-1, 0), (0, 1)])
     with pytest.raises(PreconditionError) as exc:

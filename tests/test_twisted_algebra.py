@@ -2,7 +2,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qtoric import (AffineSemigroup, Cocycle, DimensionError, NotNormalError,
                     PreconditionError, Scalar, ScalarMonomial, TwistedAlgebra,
@@ -12,7 +12,7 @@ from qtoric.lattice_algebras import straightening_semigroup
 from qtoric.twisted_algebra import TwistingSystem
 
 from .conftest import quantum_cocycle, shifted_cocycle
-from .oracles import twisting_system_mismatch
+from .oracles import product_chain_torus_embedding, twisting_system_mismatch
 
 
 def test_element_basics():
@@ -208,6 +208,73 @@ def test_torus_embedding_requires_full(qplane):
         a.torus_embedding()
     assert exc.value.certificate.rank == 2
     assert exc.value.certificate.basis == ((2, 0), (0, 1))
+
+
+A1_GENS = [(1, 0), (1, 1), (1, 2)]
+
+
+def _unimodular_image(seed, gens):
+    """gens under a seeded unimodular matrix with a negative entry."""
+    rng = random.Random(seed)
+    dim = len(gens[0])
+    while True:
+        m = [[int(i == j) for j in range(dim)] for i in range(dim)]
+        for _ in range(dim + 1):
+            i, j = rng.sample(range(dim), 2)
+            k = rng.choice((-2, -1, 1))
+            m[i] = [a + k * b for a, b in zip(m[i], m[j])]
+        if any(x < 0 for row in m for x in row):
+            return [tuple(sum(r[k] * g[k] for k in range(dim)) for r in m) for g in gens]
+
+
+# No pair of degree <= 10 exists in <11, 12> or in the sheared A1; the two
+# images of A1 are non-positive presentations of a full semigroup.
+TOTALITY_CASES = [[(11,), (12,)], [(1, -12), (1, -11), (1, -10)],
+                  _unimodular_image(4, A1_GENS), _unimodular_image(5, A1_GENS)]
+
+
+def _assert_embedding_matches_product_chain(algebra):
+    emb = algebra.torus_embedding()
+    for i, (s, t) in enumerate(emb.pairs):
+        assert tuple(a - b for a, b in zip(s, t)) == tuple(int(j == i) for j in range(algebra.dim))
+        assert algebra.domain.contains(s) and algebra.domain.contains(t)
+    assert product_chain_torus_embedding(algebra, emb.pairs) == emb
+    return emb
+
+
+def test_torus_embedding_matches_product_chain(a1, n2, n23, rays13, qplane, shifted):
+    s3 = AffineSemigroup([(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)])
+    for s, alpha in [(a1, qplane), (n2, qplane), (a1, shifted), (n23, quantum_cocycle(1)),
+                     (rays13, shifted_cocycle(2)), (s3, shifted_cocycle(3))]:
+        a = TwistedAlgebra(s, alpha)
+        # a positive S keeps the pairs of the oracle's degree search
+        assert product_chain_torus_embedding(a) == a.torus_embedding()
+
+
+def test_torus_embedding_is_total():
+    for gens in TOTALITY_CASES:
+        s = AffineSemigroup(gens)
+        assert s.is_full()
+        emb = _assert_embedding_matches_product_chain(
+            TwistedAlgebra(s, shifted_cocycle(s.ambient_dim)))
+        assert len(emb.generator_scalars) == len(gens)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_torus_embedding_matches_product_chain_on_drawn_cocycles(data):
+    gens = data.draw(st.sampled_from(TOTALITY_CASES + [A1_GENS, [(2,), (3,)],
+                                                       [(1, 0, 0), (1, 1, 0), (0, 1, 1)]]))
+    dim = len(gens[0])
+    params = data.draw(st.sampled_from([("q",), ("q", "r")]))
+    fracs = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    square = lambda e: st.lists(st.lists(e, min_size=dim, max_size=dim),
+                                min_size=dim, max_size=dim)
+    alpha = Cocycle.bicharacter(
+        dim, {p: data.draw(square(st.integers(-2, 2))) for p in params}).with_coboundary(
+        quad={p: data.draw(square(fracs)) for p in params},
+        lin={params[-1]: data.draw(st.lists(fracs, min_size=dim, max_size=dim))})
+    _assert_embedding_matches_product_chain(TwistedAlgebra(AffineSemigroup(gens), alpha))
 
 
 def test_twisting_system_trivial(n2, triv2):
