@@ -1,17 +1,18 @@
 """Exact lattice and rational-cone geometry on Z^d.
 
 Vectors are plain tuples of ints.  All decisions here are exact: sublattices
-via Hermite normal form, facets via exhaustive supporting-hyperplane search,
-Hilbert bases via integer-only parallelepiped point enumeration plus
-reduction in degree order (Bruns & Ichim, "Normaliz: algorithms for affine
-monoids and rational cones", J. Algebra 324 (2010)).  Each answer is exact
-and complete, not checked on a box.  Inputs beyond the declared desk-scale
-limits are refused before the work starts.
+via Hermite normal form; facets and a placing triangulation from one
+double-description pass over the rays (Fukuda & Prodon, "Double description
+method revisited", 1996); Hilbert bases via integer-only enumeration of the
+parallelepiped points of that triangulation's simplices plus reduction in
+degree order (Bruns & Ichim, "Normaliz: algorithms for affine monoids and
+rational cones", J. Algebra 324 (2010)).  Each answer is exact and complete,
+not checked on a box.  Inputs beyond the declared desk-scale limits are
+refused before the work starts.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -23,9 +24,9 @@ from . import linalg
 
 IntVec = tuple[int, ...]
 
-# Facet enumeration is exhaustive over generator subsets and the Hilbert-basis
-# construction enumerates parallelepiped points of every maximal independent
-# subset, so cap the instance size rather than degrade silently.
+# Facet and simplex counts grow like n^(d/2) in the number n of rays (the
+# upper bound theorem) and each simplex's parallelepiped holds |det| points,
+# so cap the instance size rather than degrade silently.
 MAX_CONE_GENERATORS = 20
 MAX_CONE_DIM = 7
 
@@ -195,11 +196,72 @@ def check_cone_limits(n_gens: int, dim: int) -> None:
         raise SizeLimitError(f"dimension {dim} exceeds the supported limit of {MAX_CONE_DIM}")
 
 
+def _double_description(rays: Sequence[IntVec], d: int
+                        ) -> tuple[list[tuple[IntVec, int]], list[tuple[int, ...]]]:
+    """Facets and a placing triangulation of the full cone over distinct primitive rays.
+
+    One incremental pass (Fukuda & Prodon, "Double description method
+    revisited", 1996).  It starts from the simplicial cone over the first d
+    independent rays, whose inner normals are the rows of the adjugate of
+    the rays as columns, times the sign of the determinant.  Each later ray
+    r keeps the facets with <n, r> >= 0 and, when r lies outside, replaces
+    those with <n, r> < 0 by the primitive combinations
+    <p, r> n_q - <q, r> n_p of the adjacent pairs with <p, r> > 0 > <q, r>.
+    Facets p and q are adjacent iff no third facet's incidence set contains
+    their common one; incidence sets are bitmasks over the ray indices seen
+    so far.  Before that update, r is placed: it is joined to every
+    (d-1)-face of a current simplex that lies on a facet with <n, r> < 0.
+
+    Returns the facets as (primitive inner normal, incidence bitmask) and
+    the simplices as tuples of d ray indices.  The rays must span R^d; the
+    cone may contain a line, in which case only the facets are meaningful.
+    """
+    start: list[int] = []
+    for i, r in enumerate(rays):
+        if len(start) < d and linalg.int_rank([rays[j] for j in start] + [r]) > len(start):
+            start.append(i)
+    adj, det = linalg.adjugate(linalg.transpose([rays[i] for i in start]))
+    sgn = 1 if det > 0 else -1
+    start_mask = sum(1 << i for i in start)
+    facets = [(primitive(tuple(sgn * x for x in row)), start_mask & ~(1 << i))
+              for row, i in zip(adj, start)]
+    simplices = [tuple(start)]
+    for k, r in enumerate(rays):
+        if start_mask >> k & 1:
+            continue
+        bit = 1 << k
+        heights = [vdot(n, r) for n, _ in facets]
+        below = [z for (_, z), h in zip(facets, heights) if h < 0]
+        if below:
+            for s in simplices[:]:
+                mask = sum(1 << j for j in s)
+                simplices += [tuple(j for j in s if j != i) + (k,) for i in s
+                              if any(mask & ~(1 << i) & ~z == 0 for z in below)]
+        kept = [(n, z | bit if h == 0 else z) for (n, z), h in zip(facets, heights) if h >= 0]
+        for a, ((p, zp), hp) in enumerate(zip(facets, heights)):
+            if hp <= 0:
+                continue
+            for b, ((q, zq), hq) in enumerate(zip(facets, heights)):
+                if hq >= 0:
+                    continue
+                common = zp & zq  # spans a ridge, so holds at least d - 2 rays
+                if common.bit_count() < d - 2 or any(
+                        common & ~z == 0 for c, (_, z) in enumerate(facets) if c != a and c != b):
+                    continue
+                kept.append((primitive(tuple(hp * y - hq * x for x, y in zip(p, q))),
+                             common | bit))
+        facets = kept
+    return facets, simplices
+
+
 def cone_facets(cone: Cone) -> list[Facet]:
     """All facets of a full-dimensional cone, sorted by inner normal.
 
-    Exhaustive search: every (d-1)-subset of generators spanning a hyperplane
-    is tested for being supporting.  Exact and complete at desk scale.
+    The normals come from one double-description pass over the distinct
+    primitive rays, in order of first occurrence (``_double_description``);
+    each facet's incident set is then read off the final normal against
+    every nonzero generator.  Exact and complete; the cone may contain a
+    line.
     """
     gens = [g for g in cone.generators if not is_zero(g)]
     d = cone.ambient_dim
@@ -208,23 +270,9 @@ def cone_facets(cone: Cone) -> list[Facet]:
         raise PreconditionError(
             f"cone is not full-dimensional (rank {linalg.int_rank(gens)} < {d}); "
             "restrict to the span via lattice_of first")
-    found: dict[IntVec, frozenset[int]] = {}
-    distinct = sorted({primitive(g) for g in gens})
-    for subset in itertools.combinations(distinct, d - 1):
-        if linalg.int_rank(subset) != d - 1:
-            continue
-        normal = linalg.kernel_basis(subset, d)[0]
-        pairings = [vdot(normal, g) for g in gens]
-        if all(p >= 0 for p in pairings):
-            pass
-        elif all(p <= 0 for p in pairings):
-            normal = vneg(normal)
-            pairings = [-p for p in pairings]
-        else:
-            continue  # not a supporting hyperplane
-        incident = frozenset(i for i, p in enumerate(pairings) if p == 0)
-        found[normal] = incident
-    return [Facet(n, found[n]) for n in sorted(found)]
+    facets, _ = _double_description(list(dict.fromkeys(primitive(g) for g in gens)), d)
+    return [Facet(n, frozenset(i for i, g in enumerate(gens) if vdot(n, g) == 0))
+            for n in sorted(n for n, _ in facets)]
 
 
 def _parallelepiped_points(rays: Sequence[IntVec]) -> list[IntVec]:
@@ -259,14 +307,19 @@ def hilbert_basis(cone: Cone, lattice: Sublattice, max_points: int = 200_000) ->
     """Unique minimal generating set of the semigroup cone ∩ lattice.
 
     The cone must be pointed and full-dimensional within the lattice's span.
-    Candidates are the primitive rays plus all lattice points inside the
-    fundamental parallelepiped of every maximal independent ray subset; every
-    irreducible element is among them.  They are reduced in the order of the
-    degree <w, x>, w the sum of the inner facet normals: x is reducible iff
-    its facet heights dominate those of a basis element already found.  The
-    result is exact and complete.  ``max_points`` caps the enumeration: the
-    sum of |det| over the ray subsets is charged before any point is
-    enumerated, and a refusal names the limit and the sum that exceeded it.
+    One double-description pass over the distinct primitive rays, in order
+    of first occurrence, gives the facets and a placing triangulation of the
+    cone into simplicial cones (``_double_description``).  Candidates are the
+    rays plus the lattice points inside the fundamental parallelepiped of
+    each simplex of that triangulation: an irreducible element lies in some
+    simplex, and there it is a ray or a parallelepiped point.  They are
+    reduced in the order of the degree <w, x>, w the sum of the inner facet
+    normals: x is reducible iff its facet heights dominate those of a basis
+    element already found (Bruns & Ichim 2010).  The result is exact and
+    complete.  ``max_points`` caps the enumeration: the sum of |det| over the
+    simplices, which is their number of parallelepiped points, is charged
+    before any point is enumerated, and a refusal names the limit and the sum
+    that exceeded it.
     """
     if lattice.rank == 0:
         if any(not is_zero(g) for g in cone.generators):
@@ -294,8 +347,8 @@ def hilbert_basis(cone: Cone, lattice: Sublattice, max_points: int = 200_000) ->
         raise PreconditionError(
             "cone is not full-dimensional in the lattice span "
             f"(rank {linalg.int_rank(rays)} < {d})")
-    facets = cone_facets(Cone(tuple(rays), d))
-    normals = [f.inner_normal for f in facets]
+    facets, simplices = _double_description(rays, d)
+    normals = sorted(n for n, _ in facets)
     if linalg.int_rank(normals) < d:
         line = linalg.kernel_basis(normals, d)[0]
         raise PreconditionError(
@@ -303,19 +356,19 @@ def hilbert_basis(cone: Cone, lattice: Sublattice, max_points: int = 200_000) ->
 
     total = 0
     dets = []
-    for subset in itertools.combinations(rays, d):
-        det = abs(linalg.det_int(subset))
+    for simplex in simplices:
+        det = abs(linalg.det_int([rays[i] for i in simplex]))
         total += det
         if total > max_points:
             raise SizeLimitError(
                 f"parallelepiped enumeration exceeds {max_points} points; "
                 "instance is beyond the supported size (the sum of |det| over the "
-                f"ray subsets reached {total})")
+                f"simplices of the triangulation reached {total})")
         dets.append(det)
     candidates = set(rays)
-    for subset, det in zip(itertools.combinations(rays, d), dets):
+    for simplex, det in zip(simplices, dets):
         if det > 1:
-            candidates.update(_parallelepiped_points(subset))
+            candidates.update(_parallelepiped_points([rays[i] for i in simplex]))
     candidates.discard(zero_vec(d))
 
     # Pack the facet heights of x into one integer, one field per facet:

@@ -10,6 +10,7 @@ regular / maximal-order decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 from typing import Sequence
 
 from . import linalg
@@ -19,6 +20,11 @@ from .lattice_geometry import (Cone, Facet, IntVec, Sublattice, as_vec,
                                check_cone_limits, cone_facets, hilbert_basis,
                                is_zero, lattice_of, primitive, vadd, vdot, vsub,
                                zero_vec)
+
+# hilbert_function enumerates every member up to its degree N; in dimension d
+# there are at most C(N + d, d) of them (the nonnegative vectors of coordinate
+# sum <= N).  A million members of A1 take about 1 s on a 2-core Xeon VM.
+MAX_DEGREE_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -474,9 +480,20 @@ def regularity_report(semigroup: AffineSemigroup, bound: int = 6) -> RegularityR
 
 
 def hilbert_function(semigroup: AffineSemigroup, degree: int) -> list[int]:
-    """Counts of semigroup elements of coordinate sum 0..degree (S positive)."""
+    """Counts of semigroup elements of coordinate sum 0..degree (S positive).
+
+    The members are enumerated, and C(degree + d, d) bounds their number in
+    dimension d; beyond ``MAX_DEGREE_POINTS`` the degree is refused first.
+    """
     if not semigroup.positive and not semigroup.is_trivial():
         raise PreconditionError("Hilbert function needs a positive semigroup")
+    dim = semigroup.ambient_dim
+    size = comb(max(degree, 0) + dim, dim)
+    if size > MAX_DEGREE_POINTS:
+        raise SizeLimitError(
+            f"degree {degree} in dimension {dim} bounds the enumeration by "
+            f"C({degree} + {dim}, {dim}) = {size} points, beyond the supported "
+            f"limit of {MAX_DEGREE_POINTS}")
     layers = elements_by_degree(semigroup, degree)
     return [len(layers.get(k, ())) for k in range(degree + 1)]
 

@@ -13,9 +13,12 @@ from math import gcd
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 
-from qtoric import (ModelParseError, QtoricError, ScalarMonomial, StandardWord,
-                    TorusEmbedding, TwistedAlgebra, elements_by_degree, linalg)
+from qtoric import (ModelParseError, PreconditionError, QtoricError, ScalarMonomial,
+                    StandardWord, TorusEmbedding, TwistedAlgebra, elements_by_degree,
+                    linalg)
 from qtoric import model as model_module
+from qtoric.lattice_geometry import (Facet, check_cone_limits, is_zero, primitive,
+                                     vdot, vneg)
 
 
 def sympy_rank(rows) -> int:
@@ -278,6 +281,39 @@ def exhaustive_facet_normals(generators, dim):
     return normals
 
 
+def subset_scan_facets(cone):
+    """All facets of a full-dimensional cone, sorted by inner normal.
+
+    The subset scan: every (d-1)-subset of distinct primitive rays spanning a
+    hyperplane is tested for being supporting, with the same limits, errors
+    and incident sets as ``cone_facets``.
+    """
+    gens = [g for g in cone.generators if not is_zero(g)]
+    d = cone.ambient_dim
+    check_cone_limits(len(gens), d)
+    if linalg.int_rank(gens) != d:
+        raise PreconditionError(
+            f"cone is not full-dimensional (rank {linalg.int_rank(gens)} < {d}); "
+            "restrict to the span via lattice_of first")
+    found = {}
+    distinct = sorted({primitive(g) for g in gens})
+    for subset in itertools.combinations(distinct, d - 1):
+        if linalg.int_rank(subset) != d - 1:
+            continue
+        normal = linalg.kernel_basis(subset, d)[0]
+        pairings = [vdot(normal, g) for g in gens]
+        if all(p >= 0 for p in pairings):
+            pass
+        elif all(p <= 0 for p in pairings):
+            normal = vneg(normal)
+            pairings = [-p for p in pairings]
+        else:
+            continue  # not a supporting hyperplane
+        incident = frozenset(i for i, p in enumerate(pairings) if p == 0)
+        found[normal] = incident
+    return [Facet(n, found[n]) for n in sorted(found)]
+
+
 def exhaustive_hilbert_basis(generators, dim):
     """Hilbert basis of the pointed full cone over the generators, within Z^dim.
 
@@ -317,6 +353,36 @@ def exhaustive_hilbert_basis(generators, dim):
     return [x for x in ordered
             if not any(y != x and in_cone(tuple(a - b for a, b in zip(x, y)))
                        for y in ordered)]
+
+
+def h_star_is_palindromic(generators, dim):
+    """Stanley's Gorenstein criterion for the cone over height-one generators.
+
+    Valid for a normal semigroup whose generators all have x_0 = 1 and whose
+    group is Z^dim: its algebra is then the standard graded Ehrhart ring of
+    the slice x_0 = 1, a Cohen-Macaulay domain, which is Gorenstein iff its
+    h*-vector is palindromic (Stanley, "Hilbert functions of graded
+    algebras", 1978).  L(k), the number of lattice points of the cone with
+    x_0 = k, is counted by brute force over the box that k times the
+    generators span, for k < dim; h* = (1 - t)^dim * sum_k L(k) t^k has
+    degree < dim.
+    """
+    gens = [tuple(g) for g in generators]
+    assert all(g[0] == 1 for g in gens)
+    normals = exhaustive_facet_normals(gens, dim)
+    lows = [min(g[j] for g in gens) for j in range(1, dim)]
+    highs = [max(g[j] for g in gens) for j in range(1, dim)]
+    counts = []
+    for k in range(dim):
+        box = itertools.product(*[range(k * lo, k * hi + 1) for lo, hi in zip(lows, highs)])
+        counts.append(sum(
+            all(sum(a * b for a, b in zip(n, (k,) + rest)) >= 0 for n in normals)
+            for rest in box))
+    h = [sum((-1) ** i * sympy.binomial(dim, i) * counts[j - i] for i in range(j + 1))
+         for j in range(dim)]
+    while h[-1] == 0:
+        h.pop()
+    return h == h[::-1]
 
 
 def _lattice_membership(basis):

@@ -193,6 +193,15 @@ def test_twenty_element_chain_is_cheap(capsys, tmp_path):
     assert time.monotonic() - start < 2.0
 
 
+def test_large_degree_bound_is_refused_first(capsys):
+    start = time.monotonic()
+    rc, out, err = run(capsys, ["analyze", "A1", "--bound", "100000"])
+    assert rc == 3 and out == ""
+    assert err.startswith("error: degree 100000 in dimension 2 bounds the enumeration")
+    assert "limit of 1000000" in err
+    assert time.monotonic() - start < 1.0
+
+
 def test_deeply_nested_model_value_exits_2(capsys, tmp_path):
     path = tmp_path / "deep.model"
     path.write_text("semigroup A gens=" + "[" * 5000 + "1" + "]" * 5000 + "\n",

@@ -1,4 +1,7 @@
 import itertools
+import random
+from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
@@ -10,7 +13,7 @@ from qtoric.lattice_geometry import primitive, vdot
 
 from .oracles import (brute_cone_points, brute_facets, brute_hilbert_basis,
                       brute_members_by_degree, exhaustive_hilbert_basis,
-                      same_lattice, sympy_rank)
+                      same_lattice, subset_scan_facets, sympy_rank)
 
 # the 3D cone with facet normals (0,1,0),(0,0,1),(1,-1,0),(1,0,-1)
 SQUARE_CONE = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
@@ -160,6 +163,90 @@ def test_cone_facets_requires_full_dimension():
         cone_facets(Cone(((1, 0, 0), (0, 1, 0)), 3))
 
 
+@st.composite
+def full_cones(draw):
+    """Full cones in Z^d, d <= 5, entries -2..3, often with a line, with
+    repeated, scaled, interior, negated and zero generators in any order."""
+    dim = draw(st.integers(1, 5))
+    gens = draw(st.lists(st.tuples(*[st.integers(-2, 3)] * dim),
+                         min_size=dim, max_size=dim + 4))
+    assume(sympy_rank(gens) == dim)
+    for extra in draw(st.lists(st.sampled_from(["repeat", "scale", "sum", "negate", "zero"]),
+                               max_size=3)):
+        g, h = gens[0], gens[-1]
+        gens.append({"repeat": g, "scale": tuple(2 * x for x in g),
+                     "sum": tuple(a + b for a, b in zip(g, h)),
+                     "negate": tuple(-x for x in g), "zero": (0,) * dim}[extra])
+    return draw(st.permutations(gens)), dim
+
+
+@settings(max_examples=400, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(full_cones())
+def test_cone_facets_match_subset_scan_random(cone):
+    gens, dim = cone
+    c = Cone(tuple(gens), dim)
+    assert cone_facets(c) == subset_scan_facets(c)
+
+
+def _random_rays(seed, dim, count, entries):
+    """count distinct primitive rays with the given entries, spanning R^dim."""
+    rng = random.Random(seed)
+    rays = set()
+    while len(rays) < count:
+        g = tuple(rng.choice(entries) for _ in range(dim))
+        if any(g):
+            rays.add(primitive(g))
+    rays = sorted(rays)
+    assert linalg.int_rank(rays) == dim
+    return rays
+
+
+def test_placing_triangulation_covers_the_cone_once():
+    # a generic interior point lies in exactly one closed simplicial cone
+    rng = random.Random(0)
+    for seed, dim, count in [(1, 3, 7), (2, 4, 9), (3, 5, 10), (4, 6, 11)]:
+        rays = _random_rays(seed, dim, count, range(3))
+        _, simplices = lattice_geometry._double_description(rays, dim)
+        inverses = [linalg.adjugate(linalg.transpose([rays[i] for i in s]))
+                    for s in simplices]
+        for _ in range(20):
+            weights = [rng.randint(1, 10**6) for _ in rays]
+            x = [sum(w * r[j] for w, r in zip(weights, rays)) for j in range(dim)]
+            assert sum(all(Fraction(vdot(row, x), det) >= 0 for row in adj)
+                       for adj, det in inverses) == 1
+
+
+def test_cone_facets_and_hilbert_basis_count_their_work(monkeypatch):
+    # d = 7, 16 generators with entries 0..2: no kernel is computed for the
+    # facets, and one determinant and at most one parallelepiped per simplex
+    # of the triangulation, against C(16, 7) = 11,440 ray subsets
+    gens = _random_rays(7, 7, 16, range(3))
+    cone = Cone(tuple(gens), 7)
+    calls = {"kernel_basis": 0, "det_int": 0, "_parallelepiped_points": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args):
+            calls[name] += 1
+            return original(*args)
+        monkeypatch.setattr(module, name, wrapper)
+
+    for module, name in [(linalg, "kernel_basis"), (linalg, "det_int"),
+                         (lattice_geometry, "_parallelepiped_points")]:
+        counted(module, name)
+    facets = cone_facets(cone)
+    assert calls["kernel_basis"] == 0
+    hb = hilbert_basis(cone, Sublattice.standard(7))
+    _, simplices = lattice_geometry._double_description(gens, 7)
+    assert calls["det_int"] == len(simplices)
+    assert calls["_parallelepiped_points"] <= len(simplices)
+    assert 10 * len(simplices) < comb(16, 7)
+    assert facets == subset_scan_facets(cone)
+    assert len(hb) > len(gens)
+
+
 def test_cone_size_limits():
     many = tuple((1, k) for k in range(21))
     with pytest.raises(SizeLimitError):
@@ -252,17 +339,18 @@ def test_hilbert_basis_point_budget():
 
 
 def test_hilbert_basis_budget_refusal_enumerates_nothing(monkeypatch):
-    # the first subset fits the budget and the second does not: the budget is
-    # charged in full before any parallelepiped is enumerated
+    # the triangulation is {(1,0),(1,2)} (|det| 2) and {(1,2),(1,5)} (|det| 3):
+    # the first simplex fits the budget and the total does not, and the
+    # budget is charged in full before any parallelepiped is enumerated
     calls = []
     monkeypatch.setattr(lattice_geometry, "_parallelepiped_points",
                         lambda rays: calls.append(rays) or [])
     cone = Cone(((1, 0), (1, 2), (1, 5)), 2)
     with pytest.raises(SizeLimitError) as exc:
-        hilbert_basis(cone, Sublattice.standard(2), max_points=5)
+        hilbert_basis(cone, Sublattice.standard(2), max_points=4)
     assert calls == []
-    assert "exceeds 5 points" in str(exc.value)
-    assert "reached 7" in str(exc.value)
+    assert "exceeds 4 points" in str(exc.value)
+    assert "reached 5" in str(exc.value)
 
 
 def test_hilbert_basis_matches_exhaustive_oracle():
@@ -276,6 +364,14 @@ def test_hilbert_basis_matches_exhaustive_oracle():
         [(1, 0, 0), (0, 1, 0), (0, 0, 1), (1, 1, 1)],
         [(3, 1, 2), (0, 2, 3), (1, 0, 0), (2, 3, 1)],
         [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (1, 2, 3, 5)],
+        # a height-one 0/1 cone with 12 generators and a cone with entries 0..2
+        [(1, 0, 0, 0, 0), (1, 0, 0, 1, 0), (1, 0, 0, 1, 1), (1, 0, 1, 0, 1),
+         (1, 0, 1, 1, 0), (1, 1, 0, 0, 1), (1, 1, 0, 1, 0), (1, 1, 0, 1, 1),
+         (1, 1, 1, 0, 0), (1, 1, 1, 0, 1), (1, 1, 1, 1, 0), (1, 1, 1, 1, 1)],
+        [(0, 0, 0, 1, 2, 2), (0, 0, 0, 2, 0, 1), (0, 0, 2, 0, 0, 0),
+         (0, 1, 2, 0, 2, 0), (0, 2, 0, 0, 2, 2), (1, 0, 0, 2, 0, 2),
+         (1, 2, 0, 0, 1, 1), (2, 0, 1, 0, 0, 0), (2, 0, 1, 2, 0, 0),
+         (2, 2, 0, 1, 2, 0)],
     ]
     for gens in cones:
         dim = len(gens[0])

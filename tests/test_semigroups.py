@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -11,9 +12,10 @@ from qtoric import (AffineSemigroup, Cone, DimensionError, Facet, FacetSemigroup
                     lattice_geometry, regularity_report, semigroups)
 from qtoric.lattice_geometry import vdot
 
-from .oracles import (brute_members_by_degree, brute_membership,
+from .oracles import (all_posets_up_to, brute_members_by_degree, brute_membership,
                       brute_normality_witness, decomposition_mismatch,
-                      facet_presentation_mismatch, gorenstein_candidate_works)
+                      facet_presentation_mismatch, gorenstein_candidate_works,
+                      h_star_is_palindromic)
 from .test_lattice_geometry import small_cones
 
 SQUARE_CONE = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
@@ -398,6 +400,41 @@ def test_regularity_widening(a1):
     assert not r.as_regular  # three Hilbert-basis elements in rank 2
 
 
+def _down_sets(n, relations):
+    below = {b: {a for a, c in relations if c == b} for b in range(n)}
+    return [ideal for size in range(n + 1) for ideal in itertools.combinations(range(n), size)
+            if all(below[b] <= set(ideal) for b in ideal)]
+
+
+def test_gorenstein_matches_h_star_symmetry():
+    # normal height-one cones with group Z^d, Gorenstein or not
+    cones = [
+        [(1, 0, 0, 0), (1, 0, 0, 1), (1, 0, 1, 0), (1, 0, 1, 1), (1, 1, 1, 0), (1, 1, 1, 1)],
+        [(1, 0, 0, 0), (1, 0, 1, 0), (1, 1, 0, 0), (1, 1, 0, 1), (1, 1, 1, 0), (1, 1, 1, 1)],
+        [(1, 0, 0, 0), (1, 0, 1, 0), (1, 1, 0, 0), (1, 1, 1, 0), (1, 1, 1, 1)],
+        [(1, 0, 0, 0, 0), (1, 0, 0, 1, 0), (1, 0, 1, 0, 0), (1, 0, 1, 1, 1), (1, 1, 0, 0, 0),
+         (1, 1, 0, 1, 0), (1, 1, 1, 0, 0), (1, 1, 1, 1, 0), (1, 1, 1, 1, 1)],
+        [(1, 0, 0, 0, 0), (1, 0, 0, 0, 1), (1, 0, 0, 1, 1), (1, 0, 1, 0, 1), (1, 0, 1, 1, 1),
+         (1, 1, 1, 0, 1), (1, 1, 1, 1, 0)],
+        [(1, 0, 0, 0, 0), (1, 0, 0, 0, 1), (1, 0, 0, 1, 1), (1, 0, 1, 0, 0), (1, 0, 1, 0, 1),
+         (1, 0, 1, 1, 1), (1, 1, 0, 0, 0), (1, 1, 0, 0, 1), (1, 1, 0, 1, 1)],
+        [(1, 0, 0, 0, 1), (1, 0, 0, 1, 0), (1, 0, 1, 0, 0), (1, 0, 1, 1, 0), (1, 1, 0, 0, 1),
+         (1, 1, 0, 1, 0), (1, 1, 1, 1, 1)],
+        SQUARE_CONE,
+    ]
+    # Hibi cones: (1, indicator of I) for every down-set I of a poset on 4 elements
+    cones += [[(1,) + tuple(int(e in ideal) for e in range(n)) for ideal in _down_sets(n, rel)]
+              for n, rel in all_posets_up_to(4) if n == 4]
+    answers = set()
+    for gens in cones:
+        s = AffineSemigroup(gens)
+        assert s.is_full() and s.normality().normal
+        answer = regularity_report(s).as_gorenstein
+        assert answer == ("yes" if h_star_is_palindromic(gens, s.ambient_dim) else "no")
+        answers.add(answer)
+    assert answers == {"yes", "no"}
+
+
 def test_regularity_gorenstein_fails(rays13):
     r = regularity_report(rays13)
     assert r.normal
@@ -464,6 +501,21 @@ def test_hilbert_function_examples(n2, a1, n23):
 def test_hilbert_function_requires_positive():
     with pytest.raises(PreconditionError):
         hilbert_function(AffineSemigroup([(1, -1), (1, 1)]), 3)
+
+
+def test_hilbert_function_refuses_a_large_degree_first(a1):
+    start = time.monotonic()
+    with pytest.raises(SizeLimitError) as exc:
+        hilbert_function(a1, 100_000)
+    assert time.monotonic() - start < 1.0
+    assert str(exc.value) == (
+        "degree 100000 in dimension 2 bounds the enumeration by "
+        "C(100000 + 2, 2) = 5000150001 points, beyond the supported limit of 1000000")
+    # C(1412 + 2, 2) = 998,991 is within the limit, C(1413 + 2, 2) is not
+    sparse = AffineSemigroup([(1000, 0), (0, 1000)])
+    assert hilbert_function(sparse, 1412)[1000] == 2
+    with pytest.raises(SizeLimitError):
+        hilbert_function(sparse, 1413)
 
 
 def test_elements_by_degree_matches_membership(a1, rays13, nonnorm_gap):
