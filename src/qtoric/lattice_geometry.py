@@ -13,9 +13,8 @@ refused before the work starts.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd
+from dataclasses import dataclass, field
+from math import gcd, prod
 from operator import mul
 from typing import Iterable, Sequence
 
@@ -88,39 +87,51 @@ def check_same_dim(vectors: Sequence[IntVec], dim: int | None = None) -> int:
 class Sublattice:
     """A sublattice of Z^ambient_dim given by a Hermite-form basis.
 
-    ``transform`` is a rank x ambient rational matrix sending each basis
-    vector to the corresponding standard basis vector of Z^rank, so it maps
-    the sublattice isomorphically onto Z^rank (integer coordinates on every
-    member, and ``from_coordinates`` is its inverse).
+    The basis is in row echelon form with positive pivots, as ``row_hnf``
+    gives it; the constructor refuses any other.  So the pivot block is
+    triangular, and coordinates follow by integer back-substitution.
     """
 
     ambient_dim: int
     rank: int
     basis: tuple[IntVec, ...]
-    transform: tuple[tuple[Fraction, ...], ...]
+    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        pivots = tuple(next((j for j, x in enumerate(b) if x), len(b)) for b in self.basis)
+        if len(pivots) != self.rank or list(pivots) != sorted(set(pivots)) or any(
+                len(b) != self.ambient_dim or p == len(b) or b[p] < 0
+                for b, p in zip(self.basis, pivots)):
+            raise ValueError(f"basis {self.basis} of rank {self.rank} is not in echelon "
+                             "form with positive pivots")
+        object.__setattr__(self, "pivots", pivots)
 
     @staticmethod
     def standard(dim: int) -> "Sublattice":
         basis = tuple(tuple(int(i == j) for j in range(dim)) for i in range(dim))
-        transform = tuple(tuple(Fraction(int(i == j)) for j in range(dim)) for i in range(dim))
-        return Sublattice(dim, dim, basis, transform)
-
-    def rational_coordinates(self, v: Sequence[int]) -> tuple[Fraction, ...] | None:
-        """Coordinates in the basis if v lies in the rational span, else None."""
-        if len(v) != self.ambient_dim:
-            raise DimensionError(f"expected dimension {self.ambient_dim}, got {len(v)}")
-        c = tuple(sum(row[j] * v[j] for j in range(self.ambient_dim)) for row in self.transform)
-        back = [sum(c[i] * self.basis[i][j] for i in range(self.rank)) for j in range(self.ambient_dim)]
-        if any(back[j] != v[j] for j in range(self.ambient_dim)):
-            return None
-        return c
+        return Sublattice(dim, dim, basis)
 
     def coordinates(self, v: Sequence[int]) -> IntVec | None:
         """Integer coordinates of a member, or None if v is not in the lattice."""
-        c = self.rational_coordinates(v)
-        if c is None or any(x.denominator != 1 for x in c):
-            return None
-        return tuple(int(x) for x in c)
+        if len(v) != self.ambient_dim:
+            raise DimensionError(f"expected dimension {self.ambient_dim}, got {len(v)}")
+        rest = v
+        coords = []
+        for b, p in zip(self.basis, self.pivots):
+            c, r = divmod(rest[p], b[p])
+            if r:
+                return None
+            if c:
+                rest = [x - c * y for x, y in zip(rest, b)]
+            coords.append(c)
+        return tuple(coords) if not any(rest) else None
+
+    def ray_coordinates(self, v: Sequence[int]) -> IntVec | None:
+        """Primitive coordinates of a nonzero v's direction, or None outside the span
+        (exact: the pivot product P clears every denominator, so P * v is a member)."""
+        scale = prod(b[p] for b, p in zip(self.basis, self.pivots))
+        c = self.coordinates([scale * x for x in v])
+        return None if c is None else primitive(c)
 
     def contains(self, v: Sequence[int]) -> bool:
         return self.coordinates(v) is not None
@@ -133,8 +144,7 @@ class Sublattice:
 
     def is_full(self) -> bool:
         return self.rank == self.ambient_dim and all(
-            self.basis[i][j] == int(i == j)
-            for i in range(self.rank) for j in range(self.ambient_dim))
+            b[p] == 1 for b, p in zip(self.basis, self.pivots))
 
     def same_lattice(self, other: "Sublattice") -> bool:
         return (self.ambient_dim == other.ambient_dim and self.rank == other.rank
@@ -148,21 +158,11 @@ def lattice_of(vectors: Sequence[Sequence[int]], ambient_dim: int | None = None)
     ``ambient_dim`` is required when ``vectors`` is empty.
     """
     vecs = [as_vec(v) for v in vectors]
-    nonzero = [v for v in vecs if not is_zero(v)]
     if not vecs and ambient_dim is None:
         raise DimensionError("ambient dimension required for an empty generating set")
     dim = check_same_dim(vecs, ambient_dim) if vecs else ambient_dim
-    basis = tuple(linalg.row_hnf(nonzero)) if nonzero else ()
-    rank = len(basis)
-    if rank:
-        gram = [[vdot(a, b) for b in basis] for a in basis]
-        gram_inv = linalg.invert_fractions(gram)
-        transform = tuple(
-            tuple(sum(gram_inv[i][k] * basis[k][j] for k in range(rank)) for j in range(dim))
-            for i in range(rank))
-    else:
-        transform = ()
-    return Sublattice(dim, rank, basis, transform)
+    basis = tuple(linalg.row_hnf(vecs))  # zero vectors leave no row
+    return Sublattice(dim, len(basis), basis)
 
 
 @dataclass(frozen=True)
@@ -321,23 +321,15 @@ def hilbert_basis(cone: Cone, lattice: Sublattice, max_points: int = 200_000) ->
     before any point is enumerated, and a refusal names the limit and the sum
     that exceeded it.
     """
-    if lattice.rank == 0:
-        if any(not is_zero(g) for g in cone.generators):
-            raise PreconditionError("nonzero cone generator outside the trivial lattice")
-        return []
     d = lattice.rank
     rays: list[IntVec] = []
     for g in cone.generators:
         if is_zero(g):
             continue
-        c = lattice.rational_coordinates(g)
-        if c is None:
+        ray = lattice.ray_coordinates(g)
+        if ray is None:
             raise PreconditionError(
                 f"cone generator {g} lies outside the lattice span", certificate=g)
-        denom = 1
-        for x in c:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        ray = primitive(tuple(int(x * denom) for x in c))
         if ray not in rays:
             rays.append(ray)
     if not rays:

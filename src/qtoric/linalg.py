@@ -1,7 +1,7 @@
-"""Exact linear algebra over Z and Q on small dense matrices.
+"""Exact linear algebra over Z on small dense matrices.
 
-Everything works on lists/tuples of Python ints or Fractions; no floats.
-Matrices are row-major sequences of rows.
+Everything works on lists/tuples of Python ints (Fractions only inside the
+uncalled ``invert_fractions``); no floats.  Matrices are row-major.
 """
 
 from __future__ import annotations
@@ -193,7 +193,7 @@ def adjugate(rows: Sequence[Sequence[int]]) -> tuple[list[list[int]], int]:
 
 
 def invert_fractions(rows: Sequence[Sequence]) -> list[list[Fraction]]:
-    """Inverse of a nonsingular square matrix, exact over Q (Gauss-Jordan)."""
+    """Exact inverse over Q; no caller in ``src/``, kept for ``bench/tracing.py``."""
     n = len(rows)
     aug = [[Fraction(v) for v in r] + [Fraction(int(i == j)) for j in range(n)]
            for i, r in enumerate(rows)]

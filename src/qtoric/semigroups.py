@@ -185,7 +185,10 @@ class AffineSemigroup:
             failed.add(key)
             return None
 
-        witness = rec(tuple(target), len(gens) - 1, 0, [])
+        try:
+            witness = rec(tuple(target), len(gens) - 1, 0, [])
+        finally:
+            rec = None  # rec refers to itself; break that cycle so `failed` is freed now
         if witness is not None:
             return Membership(True, witness, True, depth_bound)
         return Membership(False, None, not limited if depth_bound is not None else True,

@@ -241,8 +241,10 @@ class TwistedAlgebra:
                 certificate=s_gp.group)
         alpha, dim, gens = self.cocycle, self.dim, s_gp.generators
         basis = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
-        window = sorted(v for layer in elements_by_degree(s_gp, PAIR_SEARCH_DEGREE).values()
-                        for v in layer) if s_gp.positive else []
+        window = []
+        if s_gp.positive:  # t = 0 is the least member, so the window is built only if needed
+            window = [zero_vec(dim)] if all(map(s_gp.contains, basis)) else sorted(
+                v for layer in elements_by_degree(s_gp, PAIR_SEARCH_DEGREE).values() for v in layer)
         pairs: list[tuple[IntVec, IntVec]] = []
         for e_i in basis:
             pair = next(((vadd(t, e_i), t) for t in window if s_gp.contains(vadd(t, e_i))), None)

@@ -257,6 +257,42 @@ def _fraction_inverse(rows):
     return [row[n:] for row in aug]
 
 
+class GramSublattice:
+    """Lattice coordinates by the rational route the library used to take.
+
+    For basis rows B, ``transform`` = (B B^T)^-1 B over Q sends each basis
+    row to a unit vector, so ``transform @ v`` gives the coordinates of every
+    v in the rational span; multiplying back tells whether v is in the span.
+    """
+
+    def __init__(self, basis, ambient_dim):
+        self.basis, self.ambient_dim = tuple(basis), ambient_dim
+        gram_inv = _fraction_inverse([[vdot(a, b) for b in basis] for a in basis])
+        self.transform = [[sum(row[k] * basis[k][j] for k in range(len(basis)))
+                           for j in range(ambient_dim)] for row in gram_inv]
+
+    def rational_coordinates(self, v):
+        c = tuple(sum(t * x for t, x in zip(row, v)) for row in self.transform)
+        back = [sum(ci * b[j] for ci, b in zip(c, self.basis)) for j in range(self.ambient_dim)]
+        return c if back == list(v) else None
+
+    def coordinates(self, v):
+        c = self.rational_coordinates(v)
+        if c is None or any(x.denominator != 1 for x in c):
+            return None
+        return tuple(int(x) for x in c)
+
+    def ray_coordinates(self, v):
+        """The rational coordinates with denominators cleared, made primitive."""
+        c = self.rational_coordinates(v)
+        if c is None:
+            return None
+        denom = 1
+        for x in c:
+            denom = denom * x.denominator // gcd(denom, x.denominator)
+        return primitive(tuple(int(x * denom) for x in c))
+
+
 def exhaustive_facet_normals(generators, dim):
     """Primitive inner normals of a pointed full-dimensional cone, by sympy.
 

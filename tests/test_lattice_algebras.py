@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qtoric import (Cocycle, DimensionError, DistLattice, PreconditionError,
-                    QtoricError, ScalarMonomial, StandardWord, TwistedAlgebra,
-                    birkhoff, ideal_lattice, lattice_algebra_report,
+                    QtoricError, ScalarMonomial, SizeLimitError, StandardWord,
+                    TwistedAlgebra, birkhoff, ideal_lattice, lattice_algebra_report,
                     straighten, straightening_semigroup)
 
 from .conftest import M3_COVERS, N5_COVERS, quantum_cocycle
@@ -159,12 +159,15 @@ def test_staircase_points_round_trip(chain2, chain3, diamond):
     assert staircase_round_trip_mismatch(sg, 4) == (1, 0, 0)
 
 
-def test_hibi_criteria_on_posets_up_to_4():
+def _hibi_criteria_tally(posets):
+    """Check Hibi's criteria on each poset: tally the pure ones and the chains,
+    and collect the refused ones with their messages."""
     # Hibi (1987): the Hibi ring of J(P) is Gorenstein iff P is pure (all
     # maximal chains have the same length), and it is a polynomial ring iff
     # P is a chain
     tally = {"pure": 0, "chain": 0}
-    for n, rel in all_posets_up_to(4):
+    refused = {}
+    for n, rel in posets:
         above = {a: {c for b, c in rel if b == a} for a in range(n)}
 
         def upper_covers(e):
@@ -179,13 +182,36 @@ def test_hibi_criteria_on_posets_up_to_4():
         pure = len(set().union(*map(chain_lengths, minimal)) or {0}) == 1
         chain = len(rel) == n * (n - 1) // 2
         lat = ideal_lattice(n, sorted(rel))
-        rep = lattice_algebra_report(
-            lat, quantum_cocycle(len(lat.join_irreducibles()) + 1)).regularity
+        try:
+            rep = lattice_algebra_report(
+                lat, quantum_cocycle(len(lat.join_irreducibles()) + 1)).regularity
+        except SizeLimitError as exc:
+            refused[tuple(rel)] = (lat.size, str(exc))
+            continue
         assert (rep.as_gorenstein == "yes") == pure, (n, rel)
         assert rep.as_regular == chain, (n, rel)
         tally["pure"] += pure
         tally["chain"] += chain
-    assert tally == {"pure": 18, "chain": 5}
+    return tally, refused
+
+
+def test_hibi_criteria_on_posets_up_to_4():
+    assert _hibi_criteria_tally(all_posets_up_to(4)) == ({"pure": 18, "chain": 5}, {})
+
+
+def test_hibi_criteria_on_posets_with_5_elements():
+    # one labelling per isomorphism class: the least sorted relation list
+    posets = {min(tuple(sorted((p[a], p[b]) for a, b in rel))
+                  for p in itertools.permutations(range(5)))
+              for rel in naturally_labeled_posets(5)}
+    assert len(posets) == 63
+    tally, refused = _hibi_criteria_tally((5, rel) for rel in sorted(posets))
+    assert tally == {"pure": 27, "chain": 1}
+    # the antichain (2^5 ideals) and a single relation (24 ideals) are too big
+    assert sorted(refused) == [(), ((0, 1),)]
+    assert refused[()][0] == 32 and refused[((0, 1),)][0] == 24
+    assert all(msg.endswith("generators exceed the supported limit of 20")
+               for _, msg in refused.values())
 
 
 def test_str_embedding_2chain(chain2):

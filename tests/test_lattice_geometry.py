@@ -11,9 +11,10 @@ from qtoric import (Cone, DimensionError, PreconditionError, SizeLimitError,
 from qtoric import lattice_geometry
 from qtoric.lattice_geometry import primitive, vdot
 
-from .oracles import (brute_cone_points, brute_facets, brute_hilbert_basis,
-                      brute_members_by_degree, exhaustive_hilbert_basis,
-                      same_lattice, subset_scan_facets, sympy_rank)
+from .oracles import (GramSublattice, brute_cone_points, brute_facets,
+                      brute_hilbert_basis, brute_members_by_degree,
+                      exhaustive_hilbert_basis, same_lattice, subset_scan_facets,
+                      sympy_rank)
 
 # the 3D cone with facet normals (0,1,0),(0,0,1),(1,-1,0),(1,0,-1)
 SQUARE_CONE = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
@@ -67,14 +68,14 @@ def test_sublattice_coordinates_round_trip():
     assert l.from_coordinates((1, 1)) == (2, 3)
     # (1,0) is in the rational span but not in the lattice
     assert l.coordinates((1, 0)) is None
-    assert l.rational_coordinates((1, 0)) is not None
+    assert l.ray_coordinates((1, 0)) == (1, 0)
     assert not l.contains((1, 0))
     assert l.contains((2, -3))
 
 
 def test_sublattice_span_membership():
     l = lattice_of([(1, 1)])
-    assert l.rational_coordinates((1, 0)) is None
+    assert l.ray_coordinates((1, 0)) is None
     assert l.contains((3, 3))
     assert not l.contains((1, 2))
 
@@ -92,6 +93,57 @@ def test_standard_lattice():
     assert l.coordinates((4, -1, 7)) == (4, -1, 7)
     assert not lattice_of([(2, 0), (0, 3)]).is_full()
     assert lattice_of([(1, 0), (1, 1)]).is_full()
+    # an echelon basis with unit pivots spans Z^d, reduced or not
+    assert Sublattice(2, 2, ((1, 1), (0, 1))).is_full()
+
+
+def test_sublattice_refuses_a_basis_not_in_echelon_form():
+    for rank, basis in [(2, ((0, 1), (1, 0))), (2, ((1, 0), (2, 1))), (1, ((-1, 0),)),
+                        (1, ((0, 0),)), (2, ((1, 0),)), (1, ((1, 0, 0),))]:
+        with pytest.raises(ValueError, match="not in echelon form"):
+            Sublattice(2, rank, basis)
+    assert Sublattice(2, 2, ((2, 5), (0, 3))).coordinates((2, 8)) == (1, 1)
+
+
+@st.composite
+def lattice_queries(draw):
+    """Generators in Z^d, d <= 6, of every rank including 0, entries -3..3,
+    with repeated and dependent vectors; plus queries inside the lattice,
+    inside the span only (rational combinations), and outside the span."""
+    dim = draw(st.integers(1, 6))
+    vec = st.tuples(*[st.integers(-3, 3)] * dim)
+    base = draw(st.lists(vec, max_size=dim))
+    coeffs = st.lists(st.integers(-2, 2), min_size=len(base), max_size=len(base))
+    combine = lambda vs, cs: tuple(sum(c * v[j] for c, v in zip(cs, vs)) for j in range(dim))
+    gens = base + [combine(base, draw(coeffs)) for _ in range(draw(st.integers(0, 3)))]
+    gens += draw(st.lists(st.sampled_from(gens), max_size=2)) if gens else []
+    gens = draw(st.permutations(gens))
+    queries = [combine(gens, draw(st.lists(st.integers(-2, 2), min_size=len(gens),
+                                           max_size=len(gens)))) for _ in range(2)]
+    queries += [primitive(m) for m in queries if any(m)]
+    queries += draw(st.lists(vec, min_size=1, max_size=2)) + base
+    return gens, dim, queries
+
+
+def test_sublattice_matches_gram_inverse_oracle():
+    kinds = {"lattice": 0, "span only": 0, "outside": 0}
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(lattice_queries())
+    def check(case):
+        gens, dim, queries = case
+        lat = lattice_of(gens, dim)
+        old = GramSublattice(lat.basis, dim)
+        for v in queries:
+            assert lat.coordinates(v) == old.coordinates(v), (gens, v)
+            assert lat.contains(v) == (old.coordinates(v) is not None)
+            if any(v):
+                assert lat.ray_coordinates(v) == old.ray_coordinates(v), (gens, v)
+            kinds["outside" if old.rational_coordinates(v) is None else
+                  "lattice" if lat.contains(v) else "span only"] += 1
+
+    check()
+    assert min(kinds.values()) >= 50, kinds
 
 
 def test_cone_facets_orthant():

@@ -1,6 +1,8 @@
+import gc
 import itertools
 import random
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -9,7 +11,8 @@ from qtoric import (AffineSemigroup, Cone, DimensionError, Facet, FacetSemigroup
                     NotNormalError, PreconditionError, SizeLimitError, Sublattice,
                     VerificationError, decompose, elements_by_degree,
                     facet_subsemigroup, hilbert_basis, hilbert_function,
-                    lattice_geometry, regularity_report, semigroups)
+                    lattice_geometry, linalg, load_model, regularity_report,
+                    semigroups)
 from qtoric.lattice_geometry import vdot
 
 from .oracles import (all_posets_up_to, brute_members_by_degree, brute_membership,
@@ -114,6 +117,36 @@ def test_full_embedding_round_trip():
         emb = s.full_embedding()
         for g in s.generators:
             assert emb.to_ambient(emb.to_coordinates(g)) == g
+
+
+def test_no_fraction_inverse_is_reached(monkeypatch, n2, a1, n23, rays13, nonnorm_gap,
+                                        nonnorm_half):
+    def refuse(rows):
+        raise AssertionError("linalg.invert_fractions was called")
+
+    monkeypatch.setattr(linalg, "invert_fractions", refuse)
+    load_model(str(Path(__file__).parent / "golden" / "demo.model"))
+    decomposed = 0
+    for fixture in (n2, a1, n23, rays13, nonnorm_gap, nonnorm_half):
+        s = AffineSemigroup(fixture.generators)  # rebuilt with the guard in place
+        s.full_embedding()
+        regularity_report(s)
+        if s.normality().normal:
+            decompose(s)
+            decomposed += 1
+    assert decomposed == 3
+
+
+def test_membership_search_frees_its_memo_on_return(a1):
+    # the search's closure refers to itself; without a broken cycle its memo
+    # of failed states would wait for the cyclic garbage collector
+    gc.collect()
+    gc.disable()
+    try:
+        assert a1.contains((7, 5)) and not a1.contains((2, 5))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_normality_examples(n2, a1, n23):

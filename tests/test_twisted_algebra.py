@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -249,6 +250,16 @@ def test_torus_embedding_matches_product_chain(a1, n2, n23, rays13, qplane, shif
         a = TwistedAlgebra(s, alpha)
         # a positive S keeps the pairs of the oracle's degree search
         assert product_chain_torus_embedding(a) == a.torus_embedding()
+
+
+def test_torus_embedding_of_a_large_orthant_takes_t_zero():
+    # every e_i is in N^10, so no degree window (C(20, 10) members) is built
+    basis = [tuple(int(i == j) for j in range(10)) for i in range(10)]
+    a = TwistedAlgebra(AffineSemigroup(basis), quantum_cocycle(10))
+    start = time.perf_counter()
+    emb = a.torus_embedding()
+    assert time.perf_counter() - start < 0.5
+    assert emb.pairs == tuple((e, (0,) * 10) for e in basis)
 
 
 def test_torus_embedding_is_total():
