@@ -18,7 +18,7 @@ import sys
 from .errors import ModelParseError, QtoricError, VerificationError
 from .lattice_algebras import straightening_semigroup, straighten, lattice_algebra_report
 from .model import ModelFile, load_model
-from .scalars_cocycles import (Cocycle, ScalarMonomial, are_cohomologous,
+from .scalars_cocycles import (Cocycle, Scalar, are_cohomologous,
                                check_cocycle_identity)
 from .semigroups import decompose, hilbert_function, regularity_report
 from .twisted_algebra import TwistedAlgebra
@@ -399,7 +399,7 @@ def _corrupted_self_check() -> None:
     def bad(s, t):
         value = alpha(s, t)
         if s == (1, 0) and t == (0, 1):
-            return value * ScalarMonomial.param("q")
+            return value * Scalar.param("q")
         return value
 
     grid = [(0, 0), (1, 0), (0, 1), (1, 1)]

@@ -17,7 +17,7 @@ from typing import Sequence
 
 from .errors import DimensionError, PreconditionError, QtoricError, VerificationError
 from .lattice_geometry import IntVec, as_vec, vadd, vsub, zero_vec
-from .scalars_cocycles import Cocycle, ScalarMonomial
+from .scalars_cocycles import Cocycle, Scalar
 from .semigroups import AffineSemigroup, RegularityReport, regularity_report
 from .twisted_algebra import TwistedAlgebra
 
@@ -391,7 +391,7 @@ def straightening_semigroup(lattice: DistLattice, order: Sequence[int] | None = 
 
 
 def straighten(sg: StrSemigroup, cocycle: Cocycle,
-               word: Sequence[int]) -> tuple[ScalarMonomial, StandardWord]:
+               word: Sequence[int]) -> tuple[Scalar, StandardWord]:
     """Rewrite a product of lattice monomials as scalar * standard monomial.
 
     ``word`` lists lattice elements (ids); the product of their monomials in
@@ -406,7 +406,7 @@ def straighten(sg: StrSemigroup, cocycle: Cocycle,
         if not 0 <= a < sg.lattice.size:
             raise PreconditionError(f"word element {a} is not a lattice element id")
     if not word:
-        return ScalarMonomial.one(), StandardWord(())
+        return Scalar.one(), StandardWord(())
     expo = sg.vector_of_word(word)
     standard = sg.standard_word(expo)
     if sg.vector_of_word(standard.chain) != expo:

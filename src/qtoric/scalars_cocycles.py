@@ -1,11 +1,14 @@
 """Scalar coefficients and normalized 2-cocycles on Z^(n+1).
 
-Scalars live in the multiplicative group generated by nonzero rationals and
-formal parameters raised to rational exponents.  Cocycles are stored in
-closed form: one integer bicharacter matrix per parameter, optionally
-composed with the coboundary of f(s) = prod_k c_k^(s^T Q_k s + L_k . s).
-This family is closed under the coboundary relation, so cohomology questions
-reduce to exact matrix comparisons verified by evaluation.
+One scalar type carries the twisted layer.  A ``Scalar`` is a finite
+rational linear combination of parameter monomials c * prod_k c_k^(e_k),
+with c a nonzero rational and rational exponents e_k.  The monomials are the
+one-term scalars and the only units: every cocycle value is one, and only
+they invert, divide and take integer powers.  Cocycles are stored in closed
+form: one integer bicharacter matrix per parameter, optionally composed with
+the coboundary of f(s) = prod_k c_k^(s^T Q_k s + L_k . s).  This family is
+closed under the coboundary relation, so cohomology questions reduce to
+exact matrix comparisons verified by evaluation.
 
 Every scalar a cocycle produces is prod_k c_k^(s^T C_k t) with the bilinear
 form C_k = B_k - Q_k - Q_k^T.  A cocycle compiles these forms once, on its
@@ -45,111 +48,96 @@ def _format_exponent(e: Fraction) -> str:
 
 
 @dataclass(frozen=True)
-class ScalarMonomial:
-    """A unit c * prod(params^exponents) with c a nonzero rational.
-
-    Instances are canonical: zero exponents are dropped and parameter names
-    sorted, so equality and hashing are structural.
-    """
-
-    coeff: Fraction
-    exponents: ExpKey
-
-    @staticmethod
-    def make(coeff=1, exponents: Mapping[str, object] | None = None) -> "ScalarMonomial":
-        c = _as_fraction(coeff)
-        if c == 0:
-            raise ValueError("scalar monomials are units; zero coefficient refused")
-        exps = {}
-        for name, e in (exponents or {}).items():
-            e = _as_fraction(e)
-            if e:
-                exps[name] = e
-        return ScalarMonomial(c, tuple(sorted(exps.items())))
-
-    @staticmethod
-    def one() -> "ScalarMonomial":
-        return ScalarMonomial.make(1)
-
-    @staticmethod
-    def param(name: str, exponent=1) -> "ScalarMonomial":
-        return ScalarMonomial.make(1, {name: exponent})
-
-    def __mul__(self, other: "ScalarMonomial") -> "ScalarMonomial":
-        exps = dict(self.exponents)
-        for name, e in other.exponents:
-            exps[name] = exps.get(name, Fraction(0)) + e
-        return ScalarMonomial.make(self.coeff * other.coeff, exps)
-
-    def __truediv__(self, other: "ScalarMonomial") -> "ScalarMonomial":
-        return self * other.inverse()
-
-    def inverse(self) -> "ScalarMonomial":
-        return ScalarMonomial.make(1 / self.coeff, {n: -e for n, e in self.exponents})
-
-    def __pow__(self, k: int) -> "ScalarMonomial":
-        return ScalarMonomial.make(self.coeff ** k, {n: e * k for n, e in self.exponents})
-
-    def is_one(self) -> bool:
-        return self.coeff == 1 and not self.exponents
-
-    def __str__(self) -> str:
-        parts = []
-        if self.coeff != 1 or not self.exponents:
-            parts.append(str(self.coeff))
-        for name, e in self.exponents:
-            parts.append(name if e == 1 else f"{name}^{_format_exponent(e)}")
-        return "*".join(parts)
-
-    __repr__ = __str__
-
-
-@dataclass(frozen=True)
 class Scalar:
-    """A finite rational linear combination of scalar monomials.
+    """A finite rational linear combination of parameter monomials.
 
-    This is the coefficient ring for algebra elements: sums arise when two
-    product terms land on the same exponent vector.  It is a domain (the
-    exponent group is totally ordered), and single-term values convert back
-    to ScalarMonomial for the group-level operations.
+    A monomial c * prod(params^exponents), with c a nonzero rational and
+    rational exponents, is a one-term Scalar.  ``terms`` holds (exponent key,
+    coefficient) pairs sorted by key with no zero coefficient, and a key holds
+    (name, exponent) pairs sorted by name with no zero exponent, so equality
+    and hashing are structural.  The ring is a domain (the exponent group is
+    totally ordered) whose units are exactly the monomials: only they invert,
+    divide and take integer powers.
     """
 
     terms: tuple[tuple[ExpKey, Fraction], ...]
 
     @staticmethod
-    def from_terms(items: Mapping[ExpKey, Fraction]) -> "Scalar":
-        return Scalar(tuple(sorted((k, c) for k, c in items.items() if c)))
+    def make(coeff=1, exponents: Mapping[str, object] | None = None) -> "Scalar":
+        """The monomial coeff * prod(name^exponent); a zero coefficient is refused."""
+        c = _as_fraction(coeff)
+        if c == 0:
+            raise ValueError("scalar monomials are units; zero coefficient refused")
+        exps = {name: _as_fraction(e) for name, e in (exponents or {}).items()}
+        return Scalar(((tuple(sorted((name, e) for name, e in exps.items() if e)), c),))
 
     @staticmethod
-    def of(m: "ScalarMonomial | Scalar | int | Fraction") -> "Scalar":
-        if isinstance(m, Scalar):
-            return m
-        if isinstance(m, ScalarMonomial):
-            return Scalar(((m.exponents, m.coeff),))
-        c = _as_fraction(m)
-        return Scalar((((), c),) if c else ())
+    def one() -> "Scalar":
+        return Scalar.make(1)
+
+    @staticmethod
+    def param(name: str, exponent=1) -> "Scalar":
+        return Scalar.make(1, {name: exponent})
 
     @staticmethod
     def zero() -> "Scalar":
         return Scalar(())
 
+    @staticmethod
+    def of(x: "Scalar | int | Fraction") -> "Scalar":
+        if isinstance(x, Scalar):
+            return x
+        c = _as_fraction(x)
+        return Scalar((((), c),) if c else ())
+
+    @staticmethod
+    def _sum_terms(terms: Sequence[tuple[ExpKey, Fraction]]) -> "Scalar":
+        """The Scalar of nonzero (key, coefficient) pairs, like terms added; a
+        single pair is canonical as it stands."""
+        if len(terms) == 1:
+            return Scalar(tuple(terms))
+        acc: dict[ExpKey, Fraction] = {}
+        for key, c in terms:
+            acc[key] = acc[key] + c if key in acc else c
+        return Scalar(tuple(sorted((k, c) for k, c in acc.items() if c)))
+
     def is_zero(self) -> bool:
         return not self.terms
+
+    def is_one(self) -> bool:
+        return self.terms == (((), _ONE),)
 
     def is_monomial(self) -> bool:
         return len(self.terms) == 1
 
-    def as_monomial(self) -> ScalarMonomial:
-        if not self.is_monomial():
-            raise ValueError(f"scalar {self} is not a single monomial")
-        key, c = self.terms[0]
-        return ScalarMonomial.make(c, dict(key))
+    def _unit_term(self) -> tuple[ExpKey, Fraction]:
+        if len(self.terms) != 1:
+            raise ValueError(f"scalar {self} is not a single monomial, so not a unit")
+        return self.terms[0]
+
+    def as_monomial(self) -> "Scalar":
+        """This scalar when it is a monomial, that is a unit; else ValueError."""
+        self._unit_term()
+        return self
+
+    @property
+    def exponents(self) -> ExpKey:
+        """The exponent key of a monomial."""
+        return self._unit_term()[0]
+
+    def inverse(self) -> "Scalar":
+        key, c = self._unit_term()
+        return Scalar(((tuple((name, -e) for name, e in key), 1 / c),))
+
+    def __truediv__(self, other: "Scalar") -> "Scalar":
+        return self * other.inverse()
+
+    def __pow__(self, k: int) -> "Scalar":
+        key, c = self._unit_term()
+        return Scalar.make(c ** k, {name: e * k for name, e in key})
 
     def __add__(self, other: "Scalar") -> "Scalar":
-        acc = dict(self.terms)
-        for k, c in other.terms:
-            acc[k] = acc.get(k, Fraction(0)) + c
-        return Scalar.from_terms(acc)
+        return Scalar._sum_terms(self.terms + other.terms)
 
     def __neg__(self) -> "Scalar":
         return Scalar(tuple((k, -c) for k, c in self.terms))
@@ -158,26 +146,33 @@ class Scalar:
         return self + (-other)
 
     def __mul__(self, other: "Scalar") -> "Scalar":
-        acc: dict[ExpKey, Fraction] = {}
+        products = []
         for k1, c1 in self.terms:
             for k2, c2 in other.terms:
                 exps = dict(k1)
                 for name, e in k2:
-                    new = exps.get(name, Fraction(0)) + e
-                    if new:
-                        exps[name] = new
-                    else:
-                        del exps[name]
-                key = tuple(sorted(exps.items()))
-                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
-        return Scalar.from_terms(acc)
+                    e = exps.pop(name) + e if name in exps else e
+                    if e:
+                        exps[name] = e
+                products.append((tuple(sorted(exps.items())), c1 * c2))
+        return Scalar._sum_terms(products)
 
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        return " + ".join(str(ScalarMonomial.make(c, dict(k))) for k, c in self.terms)
+        return " + ".join(_format_monomial(c, key) for key, c in self.terms)
 
     __repr__ = __str__
+
+
+ScalarMonomial = Scalar  # the name of the monomials, which are one-term scalars
+
+
+def _format_monomial(c: Fraction, key: ExpKey) -> str:
+    parts = [name if e == 1 else f"{name}^{_format_exponent(e)}" for name, e in key]
+    if c != 1 or not key:
+        parts.insert(0, str(c))
+    return "*".join(parts)
 
 
 def _as_int_matrix(rows, dim: int):
@@ -301,17 +296,17 @@ class Cocycle:
         den = math.lcm(1, *(x.denominator for c in forms for row in c for x in row))
         return den, tuple(tuple(tuple(int(x * den) for x in row) for row in c) for c in forms)
 
-    def _monomial(self, numerators: Sequence[int]) -> ScalarMonomial:
+    def _monomial(self, numerators: Sequence[int]) -> Scalar:
         den = self._compiled[0]
-        return ScalarMonomial(_ONE, tuple(sorted(
-            (p, Fraction(e, den)) for p, e in zip(self.params, numerators) if e)))
+        return Scalar(((tuple(sorted(
+            (p, Fraction(e, den)) for p, e in zip(self.params, numerators) if e)), _ONE),))
 
-    def __call__(self, s: IntVec, t: IntVec) -> ScalarMonomial:
+    def __call__(self, s: IntVec, t: IntVec) -> Scalar:
         self._check_vec(s)
         self._check_vec(t)
         return self._monomial([_bilinear(s, c, t) for c in self._compiled[1]])
 
-    def word_scalar(self, vectors: Sequence[IntVec]) -> ScalarMonomial:
+    def word_scalar(self, vectors: Sequence[IntVec]) -> Scalar:
         """The scalar q^E of the ordered product X^(v_1)...X^(v_k) = q^E X^(v_1+...+v_k).
 
         E_k = sum_(i<j) v_i^T C_k v_j, accumulated against the prefix sums of
@@ -327,11 +322,11 @@ class Cocycle:
             prefix = tuple(a + b for a, b in zip(prefix, v))
         return self._monomial(exps)
 
-    def coboundary_value(self, s: Sequence[int]) -> ScalarMonomial:
+    def coboundary_value(self, s: Sequence[int]) -> Scalar:
         """f(s) for the coboundary part (1 when there is none)."""
         self._check_vec(s)
         if self.quad is None:
-            return ScalarMonomial.one()
+            return Scalar.one()
         exps = {}
         for k, p in enumerate(self.params):
             e = _bilinear(s, self.quad[k], s)
@@ -339,7 +334,7 @@ class Cocycle:
                 e += sum(self.lin[k][i] * s[i] for i in range(self.dim))
             if e:
                 exps[p] = e
-        return ScalarMonomial.make(1, exps)
+        return Scalar.make(1, exps)
 
     def full_form(self, param_index: int):
         """The rational bilinear form C_k with alpha's k-exponent == s^T C_k t."""
@@ -380,7 +375,7 @@ class CohomologyResult:
     witness: Cocycle | None          # coboundary on basis coordinates: alpha == witness * beta
     distinguishing_pair: tuple[IntVec, IntVec] | None
 
-    def witness_f(self, s: Sequence[int]) -> ScalarMonomial:
+    def witness_f(self, s: Sequence[int]) -> Scalar:
         if self.witness is None:
             raise ValueError("no witness: cocycles are not cohomologous")
         return self.witness.coboundary_value(s)

@@ -1,6 +1,6 @@
 """Cocycle-twisted semigroup algebras and their quantum-torus geometry.
 
-Elements are finite sums of monomials X^s with invertible-ring coefficients;
+Elements are finite sums of monomials X^s with ``Scalar`` coefficients;
 the product is X^s X^t = alpha(s, t) X^(s+t) extended bilinearly.  The module
 also builds the left twisting system that recovers the algebra from its
 commutative degeneration, the full quantum-torus embedding, and facet
@@ -19,7 +19,7 @@ from typing import Mapping, Sequence
 from . import linalg
 from .errors import DimensionError, PreconditionError, VerificationError
 from .lattice_geometry import Facet, IntVec, as_vec, vadd, vneg, vsub, zero_vec
-from .scalars_cocycles import Cocycle, Scalar, ScalarMonomial, commutation_matrix
+from .scalars_cocycles import Cocycle, Scalar, commutation_matrix
 from .semigroups import (AffineSemigroup, FacetSemigroup, elements_by_degree,
                          facet_subsemigroup)
 
@@ -35,7 +35,7 @@ class TwistedElement:
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Mapping[IntVec, Scalar | ScalarMonomial | int]):
+    def __init__(self, terms: Mapping[IntVec, Scalar | int]):
         canon: dict[IntVec, Scalar] = {}
         for s, c in terms.items():
             c = Scalar.of(c)
@@ -93,7 +93,7 @@ class TwistedElement:
         for s in sorted(self.terms, reverse=True):
             c = self.terms[s]
             mono = f"X{list(s)}"
-            if c == Scalar.of(1):
+            if c.is_one():
                 parts.append(mono)
             elif c.is_monomial():
                 parts.append(f"{c}*{mono}")
@@ -163,7 +163,7 @@ class TwistedAlgebra:
         for s, cx in x.terms.items():
             for t, cy in y.terms.items():
                 st = vadd(s, t)
-                c = cx * cy * Scalar.of(self.cocycle(s, t))
+                c = cx * cy * self.cocycle(s, t)
                 acc[st] = acc.get(st, Scalar.zero()) + c
         return TwistedElement(acc)
 
@@ -186,7 +186,7 @@ class TwistedAlgebra:
         if not self.in_domain(neg):
             raise PreconditionError(
                 f"X{list(neg)} is outside the monomial domain; not invertible here")
-        coeff = c.as_monomial().inverse() * self.cocycle(s, neg).inverse()
+        coeff = c.inverse() * self.cocycle(s, neg).inverse()
         return self.monomial(neg, coeff)
 
     def contains(self, x: TwistedElement) -> bool:
@@ -303,8 +303,7 @@ class TwistingSystem:
 
     def apply(self, t: Sequence[int], x: TwistedElement) -> TwistedElement:
         t = as_vec(t)
-        return TwistedElement({s: c * Scalar.of(self.cocycle(s, t))
-                               for s, c in x.terms.items()})
+        return TwistedElement({s: c * self.cocycle(s, t) for s, c in x.terms.items()})
 
     @cached_property
     def _commutative(self) -> TwistedAlgebra:
@@ -339,10 +338,10 @@ class TorusEmbedding:
     the X's via pairs[i].
     """
 
-    q_matrix: tuple[tuple[ScalarMonomial, ...], ...]
+    q_matrix: tuple[tuple[Scalar, ...], ...]
     pairs: tuple[tuple[IntVec, IntVec], ...]
     y_monomials: tuple[TwistedElement, ...]
-    generator_scalars: dict[IntVec, ScalarMonomial]
+    generator_scalars: dict[IntVec, Scalar]
 
 
 @dataclass(frozen=True)
@@ -351,5 +350,5 @@ class FacetLocalization:
 
     algebra: TwistedAlgebra
     facet_semigroup: FacetSemigroup
-    q_tau: tuple[tuple[ScalarMonomial, ...], ...]
+    q_tau: tuple[tuple[Scalar, ...], ...]
     iso_generators: tuple[IntVec, ...]

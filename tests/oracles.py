@@ -13,7 +13,7 @@ from math import gcd
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 
-from qtoric import (ModelParseError, PreconditionError, QtoricError, ScalarMonomial,
+from qtoric import (ModelParseError, PreconditionError, QtoricError, Scalar,
                     StandardWord, TorusEmbedding, TwistedAlgebra, elements_by_degree,
                     linalg)
 from qtoric import model as model_module
@@ -569,6 +569,110 @@ def all_posets_up_to(n_max):
     return reps
 
 
+# -- scalars as two classes: monomial units and their sums ----------------------
+
+def _two_class_fraction(x):
+    if isinstance(x, Fraction):
+        return x
+    if isinstance(x, int) and not isinstance(x, bool):
+        return Fraction(x)
+    raise TypeError(f"expected int or Fraction, got {x!r}")
+
+
+def _two_class_exponent(e):
+    return str(e.numerator) if e.denominator == 1 else f"({e})"
+
+
+@dataclass(frozen=True)
+class MonomialUnit:
+    """A unit c * prod(params^exponents): the monomial class of the two-class
+    scalar design, in which units and sums were separate types.
+    """
+
+    coeff: Fraction
+    exponents: tuple
+
+    @staticmethod
+    def make(coeff=1, exponents=None):
+        c = _two_class_fraction(coeff)
+        if c == 0:
+            raise ValueError("scalar monomials are units; zero coefficient refused")
+        exps = {}
+        for name, e in (exponents or {}).items():
+            e = _two_class_fraction(e)
+            if e:
+                exps[name] = e
+        return MonomialUnit(c, tuple(sorted(exps.items())))
+
+    def __mul__(self, other):
+        exps = dict(self.exponents)
+        for name, e in other.exponents:
+            exps[name] = exps.get(name, Fraction(0)) + e
+        return MonomialUnit.make(self.coeff * other.coeff, exps)
+
+    def __truediv__(self, other):
+        return self * other.inverse()
+
+    def inverse(self):
+        return MonomialUnit.make(1 / self.coeff, {n: -e for n, e in self.exponents})
+
+    def __pow__(self, k):
+        return MonomialUnit.make(self.coeff ** k, {n: e * k for n, e in self.exponents})
+
+    def __str__(self):
+        parts = []
+        if self.coeff != 1 or not self.exponents:
+            parts.append(str(self.coeff))
+        for name, e in self.exponents:
+            parts.append(name if e == 1 else f"{name}^{_two_class_exponent(e)}")
+        return "*".join(parts)
+
+
+@dataclass(frozen=True)
+class MonomialSum:
+    """A finite rational combination of MonomialUnits, the sum class of the
+    two-class design: ``terms`` are sorted (exponent key, coefficient) pairs.
+    """
+
+    terms: tuple
+
+    @staticmethod
+    def from_terms(items):
+        return MonomialSum(tuple(sorted((k, c) for k, c in items.items() if c)))
+
+    def __add__(self, other):
+        acc = dict(self.terms)
+        for k, c in other.terms:
+            acc[k] = acc.get(k, Fraction(0)) + c
+        return MonomialSum.from_terms(acc)
+
+    def __neg__(self):
+        return MonomialSum(tuple((k, -c) for k, c in self.terms))
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        acc = {}
+        for k1, c1 in self.terms:
+            for k2, c2 in other.terms:
+                exps = dict(k1)
+                for name, e in k2:
+                    new = exps.get(name, Fraction(0)) + e
+                    if new:
+                        exps[name] = new
+                    else:
+                        del exps[name]
+                key = tuple(sorted(exps.items()))
+                acc[key] = acc.get(key, Fraction(0)) + c1 * c2
+        return MonomialSum.from_terms(acc)
+
+    def __str__(self):
+        if not self.terms:
+            return "0"
+        return " + ".join(str(MonomialUnit.make(c, dict(k))) for k, c in self.terms)
+
+
 # -- cocycle scalars by direct expansion, independent of the compiled forms ---
 
 def _bilinear(s, mat, t):
@@ -585,7 +689,7 @@ def bilinear_cocycle_value(alpha, s, t):
         if alpha.quad is not None:
             e -= _bilinear(s, alpha.quad[k], t) + _bilinear(t, alpha.quad[k], s)
         exps[p] = e
-    return ScalarMonomial.make(1, exps)
+    return Scalar.make(1, exps)
 
 
 def product_chain_straighten(sg, cocycle, word):
@@ -601,7 +705,7 @@ def product_chain_straighten(sg, cocycle, word):
         return product.leading_term()
 
     if not word:
-        return ScalarMonomial.one(), StandardWord(())
+        return Scalar.one(), StandardWord(())
     coeff, expo = chain_product(word)
     standard = sg.standard_word(expo)
     std_coeff, std_expo = chain_product(standard.chain)

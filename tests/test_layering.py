@@ -1,0 +1,47 @@
+"""The package's import structure: stdlib-only at run time, and layered.
+
+The layers run linalg -> lattice_geometry -> semigroups -> scalars_cocycles
+-> twisted_algebra -> lattice_algebras -> model/cli; ``errors`` sits below
+them all and the package entry points above.  A module may import from its
+own layer or an earlier one, never from a later one.
+"""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).parent.parent / "src" / "qtoric"
+LAYER = {"errors": 0, "linalg": 1, "lattice_geometry": 2, "semigroups": 3,
+         "scalars_cocycles": 4, "twisted_algebra": 5, "lattice_algebras": 6,
+         "model": 7, "cli": 7, "__init__": 8, "__main__": 8}
+
+
+def _imports(path):
+    """(absolute top-level names, package-relative module names) imported by a file."""
+    absolute, relative = set(), set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            absolute.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            absolute.add(node.module.split(".")[0])
+        elif isinstance(node, ast.ImportFrom):
+            relative.update([node.module.split(".")[0]] if node.module
+                            else (alias.name for alias in node.names))
+    return absolute, relative
+
+
+def test_every_module_has_a_layer():
+    assert {p.stem for p in PACKAGE.glob("*.py")} == set(LAYER)
+
+
+def test_runtime_imports_only_the_standard_library():
+    for path in sorted(PACKAGE.glob("*.py")):
+        absolute, _ = _imports(path)
+        assert absolute <= sys.stdlib_module_names, (path.name, absolute - sys.stdlib_module_names)
+
+
+def test_no_module_imports_a_later_layer():
+    for path in sorted(PACKAGE.glob("*.py")):
+        _, relative = _imports(path)
+        later = {m for m in relative if LAYER[m] > LAYER[path.stem]}
+        assert not later, f"{path.name} imports the later layer(s) {sorted(later)}"

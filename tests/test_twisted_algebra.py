@@ -211,6 +211,28 @@ def test_torus_embedding_requires_full(qplane):
     assert exc.value.certificate.basis == ((2, 0), (0, 1))
 
 
+def test_torus_of_the_group_of_a_non_full_semigroup():
+    # G(S) = {x : x_0 + x_1 even} is a proper sublattice, so the route goes
+    # through its basis B: alpha_B(u, v) = alpha(uB, vB) has the bicharacter
+    # B M_k B^T, and k^(alpha_B)[S in G(S)-coordinates] is full
+    s = AffineSemigroup([(2, 0), (1, 1), (0, 2)])
+    alpha = Cocycle.bicharacter(2, {"q": [[0, 1], [0, 0]], "r": [[1, 0], [2, 0]]})
+    with pytest.raises(PreconditionError):
+        TwistedAlgebra(s, alpha).torus_embedding()
+    emb = s.full_embedding()
+    b = emb.sublattice.basis
+    restricted = Cocycle.bicharacter(len(b), {
+        p: [[sum(u[i] * m[i][j] * v[j] for i in range(2) for j in range(2)) for v in b]
+            for u in b]
+        for p, m in zip(alpha.params, alpha.bichar)})
+    grid = list(itertools.product(range(-2, 3), repeat=2))
+    for u, v in itertools.product(grid, repeat=2):
+        assert restricted(u, v) == alpha(emb.to_ambient(u), emb.to_ambient(v))
+    torus = _assert_embedding_matches_product_chain(TwistedAlgebra(emb.semigroup, restricted))
+    assert torus.pairs == (((1, 0), (0, 0)), ((0, 1), (0, 0)))
+    assert str(torus.q_matrix[0][1]) == "q^2*r^-4"
+
+
 A1_GENS = [(1, 0), (1, 1), (1, 2)]
 
 
