@@ -2,9 +2,12 @@
 
 Every command reads a model file, answers one question, and prints a report
 of ``key = value`` lines (no timestamps; the model digest ties a report to
-its input).  Exit codes: 0 success, 2 usage or parse or unknown-name errors,
-3 precondition failures (including size limits), 4 internal verification
-failures.
+its input).  The digest and the parse come from one read of the file.  An
+in-process caller of ``main`` reuses the argument parser, and the last
+parsed model while the bytes just read have its sha256; a one-shot
+``python -m qtoric`` process reads and parses its model once.  Exit codes:
+0 success, 2 usage or parse or unknown-name errors, 3 precondition failures
+(including size limits), 4 internal verification failures.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import sys
 
 from .errors import ModelParseError, QtoricError, VerificationError
 from .lattice_algebras import straightening_semigroup, straighten, lattice_algebra_report
-from .model import ModelFile, load_model
+from .model import ModelFile, parse_model
 from .scalars_cocycles import (Cocycle, Scalar, are_cohomologous,
                                check_cocycle_identity)
 from .semigroups import decompose, hilbert_function, regularity_report
@@ -412,20 +415,31 @@ def _corrupted_self_check() -> None:
         f"self-check corruption detected at triple {failing}")
 
 
-def _model_digest(path: str) -> str:
+_parser: argparse.ArgumentParser | None = None  # built by the first main call
+_model: tuple[str, ModelFile] | None = None  # the last model parsed, with its sha256
+
+
+def _read_model(path: str) -> tuple[str, ModelFile]:
+    """The sha256 of the file's bytes and the model they parse to, from one read."""
+    global _model
     try:
         with open(path, "rb") as fh:
-            return hashlib.sha256(fh.read()).hexdigest()
+            data = fh.read()
     except OSError as exc:
         raise ModelParseError(f"cannot read model file: {exc}", 0, 0) from exc
+    digest = hashlib.sha256(data).hexdigest()
+    if _model is None or _model[0] != digest:
+        _model = (digest, parse_model(data.decode("utf-8")))
+    return _model
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    global _parser
+    if _parser is None:
+        _parser = build_parser()
+    args = _parser.parse_args(argv)
     try:
-        digest = _model_digest(args.model)
-        model = load_model(args.model)
+        digest, model = _read_model(args.model)
         if args.self_check_corrupt:
             _corrupted_self_check()
         lines = _HANDLERS[args.command](args, model)

@@ -131,8 +131,10 @@ class AffineSemigroup:
             return Membership(True, (), True)
         if self.is_trivial():
             return Membership(False, None, True)
+        # reuse only an answer to this query as asked: a complete search, or
+        # one bounded by the same bound; so no answer depends on earlier calls
         cached = self._member_cache.get(x)
-        if cached is not None and (cached.member or cached.complete):
+        if cached is not None and cached.bound in (None, bound):
             return cached
         if self.positive:
             gens = list(self.generators)

@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import os
 import subprocess
@@ -6,8 +7,10 @@ import time
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qtoric.cli import main
+from qtoric import cli
+from qtoric.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
 MODEL = str(GOLDEN / "demo.model")
@@ -209,3 +212,117 @@ def test_deeply_nested_model_value_exits_2(capsys, tmp_path):
     rc, out, err = run(capsys, ["analyze", "A"], model=str(path))
     assert rc == 2 and out == ""
     assert err == "error: line 1, column 13: gens entries must be integers\n"
+
+
+# -- in-process reuse of the parser and the model ------------------------------
+
+# a second model with other bytes: another bound and one more declaration
+SECOND_MODEL_TEXT = (Path(MODEL).read_text(encoding="utf-8").replace("bound 5", "bound 4")
+                     + "semigroup N5711 gens=[[5],[7],[11]]\n")
+BROKEN_MODEL_TEXT = "semigroup A gens=%\n"
+
+# (model, argv): every golden command on both models, the extra declaration,
+# a parse error and an unknown name
+STEPS = ([("demo", argv) for _, argv in GOLDEN_CASES]
+         + [("second", argv) for _, argv in GOLDEN_CASES]
+         + [("second", ["analyze", "N5711"]), ("broken", ["analyze", "A"]),
+            ("demo", ["analyze", "NOPE"])])
+
+
+@pytest.fixture(scope="module")
+def model_paths(tmp_path_factory):
+    root = tmp_path_factory.mktemp("models")
+    paths = {"demo": MODEL}
+    for key, text in (("second", SECOND_MODEL_TEXT), ("broken", BROKEN_MODEL_TEXT)):
+        (root / f"{key}.model").write_text(text, encoding="utf-8")
+        paths[key] = str(root / f"{key}.model")
+    return paths
+
+
+_FRESH_RUNS: dict = {}
+
+
+def run_fresh(argv):
+    """(exit code, stdout, stderr) of argv as the first call of a new interpreter."""
+    key = tuple(argv)
+    if key not in _FRESH_RUNS:
+        env = {k: v for k, v in os.environ.items() if k != "QTORIC_BOUND"}
+        r = subprocess.run([sys.executable, "-m", "qtoric", *argv],
+                           capture_output=True, env=env)
+        _FRESH_RUNS[key] = (r.returncode, r.stdout.decode(), r.stderr.decode())
+    return _FRESH_RUNS[key]
+
+
+@settings(max_examples=30, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(st.lists(st.integers(0, len(STEPS) - 1), min_size=1, max_size=8))
+def test_reused_model_answers_as_a_fresh_interpreter(capsys, model_paths, sequence):
+    for index in sequence:
+        model, argv = STEPS[index]
+        path = model_paths[model]
+        assert run(capsys, argv, path) == run_fresh(argv + ["--model", path]), argv
+
+
+def test_model_rewritten_in_place_is_read_again(capsys, tmp_path):
+    path = tmp_path / "demo.model"
+    text = Path(MODEL).read_text(encoding="utf-8")
+    versions = [text, text.replace("bound 5", "bound 4"), BROKEN_MODEL_TEXT, text]
+    reports = []
+    for version in versions:
+        path.write_text(version, encoding="utf-8")
+        reports.append(run(capsys, ["analyze", "A1"], model=str(path)))
+    digests = [hashlib.sha256(v.encode()).hexdigest() for v in versions]
+    for (rc, out, err), digest in zip(reports[:2], digests):
+        assert rc == 0 and out.splitlines()[1] == f"model_sha256 = {digest}"
+    assert "hilbert_bound = 5" in reports[0][1] and "hilbert_bound = 4" in reports[1][1]
+    assert reports[2] == (2, "", "error: line 1, column 18: unexpected character '%'\n")
+    assert reports[3] == reports[0]
+
+
+def test_one_parser_per_process(capsys, monkeypatch):
+    built = []
+
+    def counting_build_parser():
+        built.append(1)
+        return build_parser()
+
+    monkeypatch.setattr(cli, "_parser", None)
+    monkeypatch.setattr(cli, "build_parser", counting_build_parser)
+    for i in range(20):
+        rc, out, err = run(capsys, GOLDEN_CASES[i % len(GOLDEN_CASES)][1])
+        assert rc == 0, err
+    assert built == [1]
+
+
+def test_help_and_usage_errors_match_a_fresh_parser(capsys):
+    run(capsys, ["normal", "N23"])  # the process's parser is built and used
+    for argv in (["--help"], ["analyze", "--help"], ["frobnicate", "--model", MODEL],
+                 ["analyze", "A1"], ["multiply", "A1", "--model", MODEL], []):
+        with pytest.raises(SystemExit) as reused:
+            main(argv)
+        got = capsys.readouterr()
+        with pytest.raises(SystemExit) as fresh:
+            build_parser().parse_args(argv)
+        assert (reused.value.code, got) == (fresh.value.code, capsys.readouterr()), argv
+
+
+def test_warm_call_leaves_no_cyclic_garbage(capsys):
+    run(capsys, ["analyze", "A1"])
+    gc.collect()
+    gc.disable()
+    try:
+        rc = main(["analyze", "A1", "--model", MODEL])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert rc == 0
+    capsys.readouterr()
+
+
+def test_invalid_utf8_model_exits_3(capsys, tmp_path):
+    path = tmp_path / "latin.model"
+    path.write_bytes(b"semigroup A gens=[[1]]\n\xff\n")
+    rc, out, err = run(capsys, ["analyze", "A"], model=str(path))
+    assert (rc, out) == (3, "")
+    assert err == ("error: 'utf-8' codec can't decode byte 0xff in position 23: "
+                   "invalid start byte\n")

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from qtoric import (AffineSemigroup, Cone, DimensionError, Facet, FacetSemigroup,
-                    NotNormalError, PreconditionError, SizeLimitError, Sublattice,
-                    VerificationError, decompose, elements_by_degree,
+                    Membership, NotNormalError, PreconditionError, SizeLimitError,
+                    Sublattice, VerificationError, decompose, elements_by_degree,
                     facet_subsemigroup, hilbert_basis, hilbert_function,
                     lattice_geometry, linalg, load_model, regularity_report,
                     semigroups)
@@ -85,6 +85,30 @@ def test_membership_with_a_line():
     refused = s.membership((1,), bound=3)
     assert not refused.member
     assert not refused.complete  # bounded search cannot refute
+
+
+def answer(s, x, bound):
+    """A membership decision, or the message of its refusal."""
+    try:
+        return s.membership(x, bound=bound)
+    except PreconditionError as exc:
+        return str(exc)
+
+
+def test_bounded_membership_does_not_depend_on_earlier_queries():
+    # a memoized answer is reused only for the query it answers: a 5-summand
+    # witness found under bound 10 does not answer the same query under bound 3
+    s = AffineSemigroup([(1,), (-1,)])
+    s.membership((5,), bound=10)
+    assert s.membership((5,), bound=3) == Membership(False, None, False, 3)
+    for gens in ([(1,), (-1,)], [(2,), (-3,)], [(1, 0), (1, 2)]):
+        s = AffineSemigroup(gens)
+        dim = len(gens[0])
+        queries = [((5,) * dim, b) for b in (10, 3, None, 5, 10, 3, 4)]
+        queries += [((0,) * dim, 2), ((1,) * dim, 1), ((1,) * dim, None)]
+        for x, bound in queries + queries[::-1]:
+            assert answer(s, x, bound) == answer(AffineSemigroup(gens), x, bound), \
+                (gens, x, bound)
 
 
 def test_membership_matches_brute_force(a1, nonnorm_gap, nonnorm_half):
