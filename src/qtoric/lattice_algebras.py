@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import sub
 from typing import Sequence
 
 from .errors import DimensionError, PreconditionError, QtoricError, VerificationError
@@ -397,7 +398,9 @@ def straighten(sg: StrSemigroup, cocycle: Cocycle,
     ``word`` lists lattice elements (ids); the product of their monomials in
     k^alpha[S] equals the returned scalar times the monomial of the returned
     standard word.  The scalar is q^(E(word) - E(standard)) in closed form,
-    E being the exponent of an ordered word product (``Cocycle.word_scalar``).
+    E being the exponent of an ordered word product (``Cocycle.word_scalar``):
+    one monomial of the difference of the two integer numerator vectors
+    (``Cocycle.word_numerators``).
     """
     if cocycle.dim != sg.ambient_dim:
         raise DimensionError(
@@ -411,9 +414,9 @@ def straighten(sg: StrSemigroup, cocycle: Cocycle,
     standard = sg.standard_word(expo)
     if sg.vector_of_word(standard.chain) != expo:
         raise VerificationError("standard word re-sum disagrees with the product")
-    scalar = (cocycle.word_scalar([sg.vector_of[a] for a in word])
-              / cocycle.word_scalar([sg.vector_of[a] for a in standard.chain]))
-    return scalar, standard
+    exps = map(sub, cocycle.word_numerators([sg.vector_of[a] for a in word]),
+               cocycle.word_numerators([sg.vector_of[a] for a in standard.chain]))
+    return cocycle.monomial(list(exps)), standard
 
 
 @dataclass(frozen=True)

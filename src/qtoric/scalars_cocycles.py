@@ -14,6 +14,10 @@ Every scalar a cocycle produces is prod_k c_k^(s^T C_k t) with the bilinear
 form C_k = B_k - Q_k - Q_k^T.  A cocycle compiles these forms once, on its
 first evaluation, into integer matrices over one common denominator; its
 values, its ordered word products and ``full_form`` all read that data.
+``numerators`` and ``word_numerators`` give those exponents as integer
+numerator vectors over that denominator, so a caller that combines several
+values (straightening, the torus embedding, a commutation matrix) adds and
+subtracts integers and builds one monomial per result with ``monomial``.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from operator import mul, sub
 from typing import Mapping, Sequence
 
 from .errors import DimensionError, QtoricError
@@ -296,18 +300,23 @@ class Cocycle:
         den = math.lcm(1, *(x.denominator for c in forms for row in c for x in row))
         return den, tuple(tuple(tuple(int(x * den) for x in row) for row in c) for c in forms)
 
-    def _monomial(self, numerators: Sequence[int]) -> Scalar:
+    def monomial(self, numerators: Sequence[int]) -> Scalar:
+        """The monomial prod_k c_k^(numerators[k] / den), den the common denominator."""
         den = self._compiled[0]
         return Scalar(((tuple(sorted(
             (p, Fraction(e, den)) for p, e in zip(self.params, numerators) if e)), _ONE),))
 
-    def __call__(self, s: IntVec, t: IntVec) -> Scalar:
+    def numerators(self, s: IntVec, t: IntVec) -> list[int]:
+        """The exponents of alpha(s, t) times the common denominator: s^T (den C_k) t."""
         self._check_vec(s)
         self._check_vec(t)
-        return self._monomial([_bilinear(s, c, t) for c in self._compiled[1]])
+        return [_bilinear(s, c, t) for c in self._compiled[1]]
 
-    def word_scalar(self, vectors: Sequence[IntVec]) -> Scalar:
-        """The scalar q^E of the ordered product X^(v_1)...X^(v_k) = q^E X^(v_1+...+v_k).
+    def __call__(self, s: IntVec, t: IntVec) -> Scalar:
+        return self.monomial(self.numerators(s, t))
+
+    def word_numerators(self, vectors: Sequence[IntVec]) -> list[int]:
+        """The exponents E of ``word_scalar`` times the common denominator.
 
         E_k = sum_(i<j) v_i^T C_k v_j, accumulated against the prefix sums of
         the word.
@@ -320,7 +329,11 @@ class Cocycle:
             for k, c in enumerate(forms):
                 exps[k] += _bilinear(prefix, c, v)
             prefix = tuple(a + b for a, b in zip(prefix, v))
-        return self._monomial(exps)
+        return exps
+
+    def word_scalar(self, vectors: Sequence[IntVec]) -> Scalar:
+        """The scalar q^E of the ordered product X^(v_1)...X^(v_k) = q^E X^(v_1+...+v_k)."""
+        return self.monomial(self.word_numerators(vectors))
 
     def coboundary_value(self, s: Sequence[int]) -> Scalar:
         """f(s) for the coboundary part (1 when there is none)."""
@@ -365,8 +378,13 @@ def check_cocycle_identity(alpha: Cocycle, triples: Sequence[tuple[IntVec, IntVe
 
 
 def commutation_matrix(alpha: Cocycle, gens: Sequence[IntVec]):
-    """q_ij = alpha(g_i, g_j) / alpha(g_j, g_i); multiplicatively skew-symmetric."""
-    return tuple(tuple(alpha(a, b) / alpha(b, a) for b in gens) for a in gens)
+    """q_ij = alpha(g_i, g_j) / alpha(g_j, g_i); multiplicatively skew-symmetric.
+
+    Each entry is one monomial of the numerator difference.
+    """
+    return tuple(tuple(alpha.monomial(list(map(sub, alpha.numerators(a, b),
+                                               alpha.numerators(b, a))))
+                       for b in gens) for a in gens)
 
 
 @dataclass(frozen=True)

@@ -212,7 +212,7 @@ class AffineSemigroup:
         if self._embedding is None:
             coords = [self.group.coordinates(g) for g in self.generators]
             emb = AffineSemigroup(coords, self.group.rank)
-            self._embedding = FullEmbedding(self.group.rank, emb, self.group, self)
+            self._embedding = FullEmbedding(self.group.rank, emb, self.group)
         return self._embedding
 
     def normality(self) -> "NormalityCertificate":
@@ -288,7 +288,6 @@ class FullEmbedding:
     rank: int
     semigroup: AffineSemigroup
     sublattice: Sublattice
-    original: AffineSemigroup
 
     def to_coordinates(self, v: Sequence[int]) -> IntVec | None:
         return self.sublattice.coordinates(v)

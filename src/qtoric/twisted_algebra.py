@@ -12,6 +12,7 @@ the proof is exact in every degree.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping, Sequence
@@ -20,8 +21,7 @@ from . import linalg
 from .errors import DimensionError, PreconditionError, VerificationError
 from .lattice_geometry import Facet, IntVec, as_vec, vadd, vneg, vsub, zero_vec
 from .scalars_cocycles import Cocycle, Scalar, commutation_matrix
-from .semigroups import (AffineSemigroup, FacetSemigroup, elements_by_degree,
-                         facet_subsemigroup)
+from .semigroups import AffineSemigroup, FacetSemigroup, facet_subsemigroup
 
 PAIR_SEARCH_DEGREE = 10  # the degree window of the canonical pairs of a positive S
 
@@ -223,13 +223,16 @@ class TwistedAlgebra:
 
         Total on every full semigroup.  Y_i = X^(s_i) (X^(t_i))^(-1) for a pair
         s_i - t_i = e_i in S: a positive S takes the lexicographically smallest
-        t of degree <= PAIR_SEARCH_DEGREE with t + e_i in S; otherwise s_i and
-        t_i are the positive and the negative part of an integer solution
+        t of degree <= PAIR_SEARCH_DEGREE with t + e_i in S, found by a
+        lexicographic walk of S (``_lex_members``); otherwise s_i and t_i are
+        the positive and the negative part of an integer solution
         e_i = sum_j lambda_j g_j.  All data are exact closed forms in alpha:
-        Y_i = alpha(s_i, -t_i) / alpha(t_i, -t_i) X^(e_i),
+        Y_i = alpha(s_i, -t_i) / alpha(t_i, -t_i) X^(e_i) = alpha(e_i, t_i)^(-1) X^(e_i),
         q_ij = alpha(e_i, e_j) / alpha(e_j, e_i) and X^g = c Y_0^(g_0)...Y_n^(g_n),
         where 1/c is the product of the Y_i scalars to the g_i, the word scalar
         of (g_0 e_0, ..., g_n e_n) and the alpha(e_i, e_i)^(g_i (g_i - 1) / 2).
+        Each scalar is built once, from its sum of integer exponent numerators
+        (``Cocycle.numerators``).
         """
         if self.domain is None or isinstance(self.domain, FacetSemigroup):
             raise PreconditionError("torus embedding starts from a semigroup algebra")
@@ -241,31 +244,29 @@ class TwistedAlgebra:
                 certificate=s_gp.group)
         alpha, dim, gens = self.cocycle, self.dim, s_gp.generators
         basis = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
-        window = []
-        if s_gp.positive:  # t = 0 is the least member, so the window is built only if needed
-            window = [zero_vec(dim)] if all(map(s_gp.contains, basis)) else sorted(
-                v for layer in elements_by_degree(s_gp, PAIR_SEARCH_DEGREE).values() for v in layer)
         pairs: list[tuple[IntVec, IntVec]] = []
         for e_i in basis:
-            pair = next(((vadd(t, e_i), t) for t in window if s_gp.contains(vadd(t, e_i))), None)
+            walk = _lex_members(s_gp, PAIR_SEARCH_DEGREE) if s_gp.positive else ()
+            pair = next(((s, t) for t in walk if s_gp.contains(s := vadd(t, e_i))), None)
             if pair is None:
                 # s_i collects the positive terms of e_i = sum_j lambda_j g_j
                 lam = linalg.solve_integer(linalg.transpose(gens), e_i)
                 s = tuple(sum(l * g[k] for l, g in zip(lam, gens) if l > 0) for k in range(dim))
                 pair = (s, vsub(s, e_i))
             pairs.append(pair)
-        y_scalars = [alpha(s, vneg(t)) / alpha(t, vneg(t)) for s, t in pairs]
+        y_nums = [[-x for x in alpha.numerators(e, t)] for e, (_, t) in zip(basis, pairs)]
         q_matrix = commutation_matrix(alpha, basis)
         if not all((q_matrix[i][j] * q_matrix[j][i]).is_one()
                    for i in range(dim) for j in range(dim)):
             raise VerificationError("commutation matrix is not skew-symmetric")
+        diagonal = [alpha.numerators(e, e) for e in basis]
         gen_scalars = {}
         for g in gens:
-            c = alpha.word_scalar([tuple(k * x for x in e) for k, e in zip(g, basis)])
-            for k, e, y in zip(g, basis, y_scalars):
-                c = c * y ** k * alpha(e, e) ** (k * (k - 1) // 2)
-            gen_scalars[g] = c.inverse()
-        ys = tuple(TwistedElement({e: y}) for e, y in zip(basis, y_scalars))
+            c = alpha.word_numerators([tuple(k * x for x in e) for k, e in zip(g, basis)])
+            for k, y, d in zip(g, y_nums, diagonal):
+                c = [x + k * y_x + k * (k - 1) // 2 * d_x for x, y_x, d_x in zip(c, y, d)]
+            gen_scalars[g] = alpha.monomial([-x for x in c])
+        ys = tuple(TwistedElement({e: alpha.monomial(y)}) for e, y in zip(basis, y_nums))
         return TorusEmbedding(q_matrix, tuple(pairs), ys, gen_scalars)
 
     # -- facet localization ----------------------------------------------------
@@ -292,6 +293,27 @@ class TwistedAlgebra:
                     raise VerificationError("q_tau is not multiplicatively skew-symmetric")
         algebra = TwistedAlgebra(fs, self.cocycle)
         return FacetLocalization(algebra, fs, q_tau, t_vecs)
+
+
+def _lex_members(semigroup: AffineSemigroup, degree: int):
+    """The members of a positive S of coordinate sum <= degree, lazily and in
+    increasing lexicographic order.
+
+    A heap walk from 0 that adds each nonzero generator while the degree stays
+    <= ``degree``.  Such a generator has no negative entry, so it raises a
+    vector lexicographically, and every member but 0 is one such step above a
+    smaller member: the walk pops the sorted degree window without building it.
+    """
+    steps = [(g, sum(g)) for g in semigroup.generators if any(g)]
+    start = zero_vec(semigroup.ambient_dim)
+    heap, seen = [(start, 0)], {start}
+    while heap:
+        t, d = heapq.heappop(heap)
+        yield t
+        for g, dg in steps:
+            if d + dg <= degree and (u := vadd(t, g)) not in seen:
+                seen.add(u)
+                heapq.heappush(heap, (u, d + dg))
 
 
 @dataclass(frozen=True)
@@ -328,12 +350,15 @@ class TorusEmbedding:
     """Exact data of the embedding into a quantum torus; every full S has one.
 
     ``pairs[i]`` is (s_i, t_i) in S with s_i - t_i = e_i: for a positive S the
-    lexicographically smallest t_i of degree <= 10 with t_i + e_i in S, else
-    the positive and negative parts of an integer solution
-    e_i = sum_j lambda_j g_j.  ``y_monomials[i]`` is the resulting unit Y_i
+    lexicographically smallest t_i of degree <= 10 with t_i + e_i in S, which
+    a lexicographic heap walk of S finds without building the degree window
+    (the pairs are those of the sorted window), else the positive and
+    negative parts of an integer solution e_i = sum_j lambda_j g_j.
+    ``y_monomials[i]`` is the resulting unit Y_i
     (a monomial with exponent e_i); ``q_matrix`` the commutation scalars of
     the Y's; ``generator_scalars[g]`` the scalar with X^g = scalar * Y^g
-    (ordered product).  All scalars are exact closed forms in the cocycle.
+    (ordered product).  All scalars are exact closed forms in the cocycle,
+    each one monomial of a sum of integer exponent numerators.
     The inverse direction is monomial: Y_i is literally a Laurent monomial in
     the X's via pairs[i].
     """

@@ -76,6 +76,16 @@ def quantum_cocycle(dim: int) -> Cocycle:
     return Cocycle.bicharacter(dim, {"q": b})
 
 
+def two_parameter_cocycle(dim: int, integer, fraction) -> Cocycle:
+    """A cocycle in q and r with both coboundary parts: its bicharacter entries
+    come from ``integer()``, its quadratic forms and the linear form of r from
+    ``fraction()``.
+    """
+    square = lambda entry: [[entry() for _ in range(dim)] for _ in range(dim)]
+    return Cocycle.bicharacter(dim, {p: square(integer) for p in "qr"}).with_coboundary(
+        quad={p: square(fraction) for p in "qr"}, lin={"r": [fraction() for _ in range(dim)]})
+
+
 def shifted_cocycle(dim: int) -> Cocycle:
     """The quantum cocycle composed with a symmetric quadratic coboundary."""
     half = Fraction(1, 2)

@@ -14,11 +14,11 @@ import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 
 from qtoric import (ModelParseError, PreconditionError, QtoricError, Scalar,
-                    StandardWord, TorusEmbedding, TwistedAlgebra, elements_by_degree,
-                    linalg)
+                    StandardWord, TorusEmbedding, TwistedAlgebra, TwistedElement,
+                    elements_by_degree, linalg)
 from qtoric import model as model_module
 from qtoric.lattice_geometry import (Facet, check_cone_limits, is_zero, primitive,
-                                     vdot, vneg)
+                                     vadd, vdot, vneg)
 
 
 def sympy_rank(rows) -> int:
@@ -746,6 +746,78 @@ def product_chain_torus_embedding(algebra, pairs=None, search_degree=10):
         assert expo == g, f"Y-monomial for generator {list(g)} is not X^g-parallel"
         scalars[g] = coeff.as_monomial().inverse()
     return TorusEmbedding(q_matrix, tuple(pairs), ys, scalars)
+
+
+def scalar_chain_straighten(sg, cocycle, word):
+    """straighten's scalar as the Scalar ratio word_scalar(word) /
+    word_scalar(standard), the word of its standard form found as in the
+    library.
+    """
+    if not word:
+        return Scalar.one(), StandardWord(())
+    standard = sg.standard_word(sg.vector_of_word(word))
+    scalar = (cocycle.word_scalar([sg.vector_of[a] for a in word])
+              / cocycle.word_scalar([sg.vector_of[a] for a in standard.chain]))
+    return scalar, standard
+
+
+def scalar_chain_commutation_matrix(alpha, gens):
+    """q_ij = alpha(g_i, g_j) / alpha(g_j, g_i) as a Scalar division."""
+    return tuple(tuple(alpha(a, b) / alpha(b, a) for b in gens) for a in gens)
+
+
+def window_torus_embedding(algebra, search_degree=10):
+    """The torus embedding of a full S by its degree window and Scalar chains.
+
+    A positive S sorts every member of coordinate sum <= search_degree and
+    takes, per e_i, the first t with t + e_i in S; any other e_i (and a
+    positive S without such a t) takes the positive and negative parts of an
+    integer solution e_i = sum_j lambda_j g_j.  Y_i = alpha(s_i, -t_i) /
+    alpha(t_i, -t_i), q_ij = alpha(e_i, e_j) / alpha(e_j, e_i), and the scalar
+    of g inverts word_scalar(g_0 e_0, ..., g_n e_n) * prod_i Y_i^(g_i) *
+    alpha(e_i, e_i)^(g_i (g_i - 1) / 2), all multiplied as Scalars.
+    """
+    s_gp, alpha, dim = algebra.domain, algebra.cocycle, algebra.dim
+    gens = s_gp.generators
+    basis = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+    window = sorted(v for layer in elements_by_degree(s_gp, search_degree).values()
+                    for v in layer) if s_gp.positive else []
+    pairs = []
+    for e_i in basis:
+        pair = next(((vadd(t, e_i), t) for t in window if s_gp.contains(vadd(t, e_i))), None)
+        if pair is None:
+            lam = linalg.solve_integer(linalg.transpose(gens), e_i)
+            s = tuple(sum(l * g[k] for l, g in zip(lam, gens) if l > 0) for k in range(dim))
+            pair = (s, tuple(a - b for a, b in zip(s, e_i)))
+        pairs.append(pair)
+    y_scalars = [alpha(s, vneg(t)) / alpha(t, vneg(t)) for s, t in pairs]
+    scalars = {}
+    for g in gens:
+        c = alpha.word_scalar([tuple(k * x for x in e) for k, e in zip(g, basis)])
+        for k, e, y in zip(g, basis, y_scalars):
+            c = c * y ** k * alpha(e, e) ** (k * (k - 1) // 2)
+        scalars[g] = c.inverse()
+    ys = tuple(TwistedElement({e: y}) for e, y in zip(basis, y_scalars))
+    return TorusEmbedding(scalar_chain_commutation_matrix(alpha, basis), tuple(pairs), ys,
+                          scalars)
+
+
+def hibi_torus_pairs(sg):
+    """The torus pairs of a straightening semigroup in Hibi's closed form.
+
+    pair_0 = (e_0, 0); for the i-th join-irreducible p_i (i >= 1),
+    pair_i = ((1, chi of the irreducibles <= p_i), (1, chi of those < p_i)):
+    the irreducibles strictly below p_i form the least ideal I with p_i not
+    in I and I + p_i an ideal, so their vector is lexicographically least.
+    """
+    irr, leq = sg.birkhoff.irreducibles, sg.lattice.leq
+    dim = len(irr) + 1
+    pairs = [(tuple(int(j == 0) for j in range(dim)), (0,) * dim)]
+    for p in irr:
+        below = tuple(int(leq[q][p]) for q in irr)
+        strictly = tuple(int(leq[q][p] and q != p) for q in irr)
+        pairs.append(((1,) + below, (1,) + strictly))
+    return tuple(pairs)
 
 
 def twisting_system_mismatch(algebra, axiom_bound, product_bound):

@@ -307,16 +307,19 @@ def test_help_and_usage_errors_match_a_fresh_parser(capsys):
 
 
 def test_warm_call_leaves_no_cyclic_garbage(capsys):
-    run(capsys, ["analyze", "A1"])
-    gc.collect()
-    gc.disable()
-    try:
-        rc = main(["analyze", "A1", "--model", MODEL])
-        assert gc.collect() == 0
-    finally:
-        gc.enable()
-    assert rc == 0
-    capsys.readouterr()
+    # the lattice report computes normality, whose full embedding of S must
+    # not point back at S
+    for argv in (["analyze", "A1"], ["lattice", "D", "--cocycle", "tri3"]):
+        run(capsys, argv)
+        gc.collect()
+        gc.disable()
+        try:
+            rc = main(argv + ["--model", MODEL])
+            assert gc.collect() == 0, argv
+        finally:
+            gc.enable()
+        assert rc == 0
+        capsys.readouterr()
 
 
 def test_invalid_utf8_model_exits_3(capsys, tmp_path):

@@ -9,8 +9,8 @@ from qtoric import (Cocycle, DimensionError, QtoricError, ScalarMonomial,
                     are_cohomologous, check_cocycle_identity,
                     commutation_matrix)
 
-from .conftest import quantum_cocycle, shifted_cocycle
-from .oracles import bilinear_cocycle_value
+from .conftest import quantum_cocycle, shifted_cocycle, two_parameter_cocycle
+from .oracles import bilinear_cocycle_value, scalar_chain_commutation_matrix
 
 E0, E1 = (1, 0), (0, 1)
 
@@ -194,6 +194,20 @@ def test_commutation_matrix_examples(triv2, upper):
     pure = Cocycle.trivial(2).with_coboundary(quad={"q": [[1, 2], [0, 3]]})
     p = commutation_matrix(pure, [E0, E1, (1, 2)])
     assert all(x == ScalarMonomial.one() for row in p for x in row)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_commutation_matrix_matches_the_scalar_division(data):
+    # arbitrary (non-basis, negative) vectors, as a facet localization uses
+    dim = data.draw(st.integers(1, 4))
+    fracs = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    alpha = two_parameter_cocycle(dim, lambda: data.draw(st.integers(-3, 3)),
+                                  lambda: data.draw(fracs))
+    vecs = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=4))
+    m, ref = commutation_matrix(alpha, vecs), scalar_chain_commutation_matrix(alpha, vecs)
+    assert [list(map(str, row)) for row in m] == [list(map(str, row)) for row in ref]
+    assert m == ref
 
 
 def test_commutation_matrix_is_coboundary_invariant(upper, shifted):

@@ -1,6 +1,7 @@
 import functools
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,11 +11,11 @@ from qtoric import (Cocycle, DimensionError, DistLattice, PreconditionError,
                     TwistedAlgebra, birkhoff, ideal_lattice, lattice_algebra_report,
                     straighten, straightening_semigroup)
 
-from .conftest import M3_COVERS, N5_COVERS, quantum_cocycle
-from .oracles import (all_posets_up_to, join_irreducibles_by_joins,
+from .conftest import M3_COVERS, N5_COVERS, quantum_cocycle, two_parameter_cocycle
+from .oracles import (all_posets_up_to, hibi_torus_pairs, join_irreducibles_by_joins,
                       naturally_labeled_posets, product_chain_straighten,
-                      scanned_lattice_tables, staircase_round_trip_mismatch,
-                      standard_chains_with_sum)
+                      scalar_chain_straighten, scanned_lattice_tables,
+                      staircase_round_trip_mismatch, standard_chains_with_sum)
 
 TRI3 = Cocycle.bicharacter(3, {"q": [[0, 1, 0], [0, 0, 0], [1, 0, 0]]})
 
@@ -383,6 +384,40 @@ def test_closed_form_straighten_matches_product_chain(data):
     ref_scalar, ref_standard = product_chain_straighten(sg, alpha, word)
     assert standard == ref_standard
     assert scalar == ref_scalar and str(scalar) == str(ref_scalar)
+
+
+def test_straighten_matches_the_scalar_ratio_on_all_small_posets():
+    rng = random.Random(17)
+    fraction = lambda: Fraction(rng.randint(-4, 4), rng.randint(1, 4))
+    for n, rel in all_posets_up_to(4):
+        sg = straightening_semigroup(ideal_lattice(n, sorted(rel)))
+        alpha = two_parameter_cocycle(sg.ambient_dim, lambda: rng.randint(-2, 2), fraction)
+        for length in range(7):
+            for _ in range(4):
+                word = [rng.randrange(sg.lattice.size) for _ in range(length)]
+                scalar, standard = straighten(sg, alpha, word)
+                ref_scalar, ref_standard = scalar_chain_straighten(sg, alpha, word)
+                assert standard.chain == ref_standard.chain
+                assert str(scalar) == str(ref_scalar) and scalar == ref_scalar
+
+
+def _grid_poset(rows, cols):
+    """The product of a rows-chain and a cols-chain, by its covers."""
+    at = lambda i, j: i * cols + j
+    cells = list(itertools.product(range(rows), range(cols)))
+    return rows * cols, ([(at(i, j), at(i + 1, j)) for i, j in cells if i + 1 < rows]
+                         + [(at(i, j), at(i, j + 1)) for i, j in cells if j + 1 < cols])
+
+
+def test_torus_pairs_of_straightening_semigroups_are_hibis():
+    # the lexicographic walk pops 0 and then the lattice vectors in order, so
+    # each pair is the closed form; grids give the Young lattices L(m, n)
+    posets = [(n, sorted(rel)) for n, rel in all_posets_up_to(4)]
+    posets += [_grid_poset(2, 3), _grid_poset(2, 4), _grid_poset(3, 3)]
+    for n, rel in posets:
+        sg = straightening_semigroup(ideal_lattice(n, rel))
+        emb = TwistedAlgebra(sg.semigroup, Cocycle.trivial(sg.ambient_dim)).torus_embedding()
+        assert emb.pairs == hibi_torus_pairs(sg), (n, rel)
 
 
 def test_straighten_is_order_independent(diamond):

@@ -3,17 +3,18 @@ import random
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from qtoric import (AffineSemigroup, Cocycle, DimensionError, NotNormalError,
                     PreconditionError, Scalar, ScalarMonomial, TwistedAlgebra,
                     TwistedElement, elements_by_degree)
 from qtoric.lattice_geometry import vadd
 from qtoric.lattice_algebras import straightening_semigroup
-from qtoric.twisted_algebra import TwistingSystem
+from qtoric.twisted_algebra import TwistingSystem, _lex_members
 
-from .conftest import quantum_cocycle, shifted_cocycle
-from .oracles import product_chain_torus_embedding, twisting_system_mismatch
+from .conftest import quantum_cocycle, shifted_cocycle, two_parameter_cocycle
+from .oracles import (product_chain_torus_embedding, scalar_chain_commutation_matrix,
+                      twisting_system_mismatch, window_torus_embedding)
 
 
 def test_element_basics():
@@ -288,9 +289,10 @@ def test_torus_embedding_is_total():
     for gens in TOTALITY_CASES:
         s = AffineSemigroup(gens)
         assert s.is_full()
-        emb = _assert_embedding_matches_product_chain(
-            TwistedAlgebra(s, shifted_cocycle(s.ambient_dim)))
+        algebra = TwistedAlgebra(s, shifted_cocycle(s.ambient_dim))
+        emb = _assert_embedding_matches_product_chain(algebra)
         assert len(emb.generator_scalars) == len(gens)
+        assert emb == window_torus_embedding(algebra)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -308,6 +310,43 @@ def test_torus_embedding_matches_product_chain_on_drawn_cocycles(data):
         quad={p: data.draw(square(fracs)) for p in params},
         lin={params[-1]: data.draw(st.lists(fracs, min_size=dim, max_size=dim))})
     _assert_embedding_matches_product_chain(TwistedAlgebra(AffineSemigroup(gens), alpha))
+
+
+def _drawn_positive_semigroup(data):
+    dim = data.draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(0, 3)] * dim).filter(any)
+    return AffineSemigroup(data.draw(st.lists(vec, min_size=1, max_size=dim + 3)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_lex_walk_pops_the_sorted_degree_window(data):
+    s = _drawn_positive_semigroup(data)
+    degree = data.draw(st.integers(0, 8))
+    window = sorted(v for layer in elements_by_degree(s, degree).values() for v in layer)
+    assert list(_lex_members(s, degree)) == window
+
+
+@settings(max_examples=80, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.data())
+def test_torus_embedding_matches_the_window_oracle(data):
+    # the integer-numerator scalars and the lexicographic pair walk against
+    # the sorted degree window and the Scalar chains
+    s = _drawn_positive_semigroup(data)
+    assume(s.is_full())
+    fracs = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    alpha = two_parameter_cocycle(s.ambient_dim, lambda: data.draw(st.integers(-2, 2)),
+                                  lambda: data.draw(fracs))
+    algebra = TwistedAlgebra(s, alpha)
+    emb, ref = algebra.torus_embedding(), window_torus_embedding(algebra)
+    assert emb.pairs == ref.pairs
+    assert list(map(str, emb.y_monomials)) == list(map(str, ref.y_monomials))
+    assert [list(map(str, row)) for row in emb.q_matrix] == \
+        [list(map(str, row)) for row in ref.q_matrix]
+    assert {g: str(c) for g, c in emb.generator_scalars.items()} == \
+        {g: str(c) for g, c in ref.generator_scalars.items()}
+    assert emb == ref
 
 
 def test_twisting_system_trivial(n2, triv2):
@@ -406,6 +445,16 @@ def test_localize_at_facet_coboundary_invariant(n2, upper, shifted, triv2):
     assert q_plain == q_shift
     q_triv = TwistedAlgebra(n2, triv2).localize_at_facet(tau).q_tau
     assert all(x.is_one() for row in q_triv for x in row)
+
+
+def test_localized_q_tau_matches_the_scalar_division(a1, rays13):
+    # the iso generators of a facet semigroup are not basis vectors
+    s3 = AffineSemigroup([(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)])
+    for s in (a1, rays13, s3):
+        alpha = shifted_cocycle(s.ambient_dim)
+        for tau in s.facets():
+            loc = TwistedAlgebra(s, alpha).localize_at_facet(tau)
+            assert loc.q_tau == scalar_chain_commutation_matrix(alpha, loc.iso_generators)
 
 
 def test_localize_requires_normal(n23):
