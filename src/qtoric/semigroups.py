@@ -312,8 +312,7 @@ class FacetSemigroup:
     ``transversal`` pairs to exactly 1 with the normal, and together they give
     the isomorphism onto Z^n + N.  ``positive_generators`` are the generators
     of S off the facet.  ``used_auxiliary_basis`` flags a basis that had to be
-    completed beyond the facet-incident generators.  ``verified_box_bound``
-    records the caller's bound; the presentation itself is proved exactly.
+    completed beyond the facet-incident generators.
     """
 
     facet: Facet
@@ -322,7 +321,6 @@ class FacetSemigroup:
     transversal: IntVec
     positive_generators: tuple[IntVec, ...]
     used_auxiliary_basis: bool
-    verified_box_bound: int
 
     @property
     def inner_normal(self) -> IntVec:
@@ -358,8 +356,7 @@ class FacetSemigroup:
         return self.unit_basis + (self.transversal,)
 
 
-def facet_subsemigroup(semigroup: AffineSemigroup, facet: Facet,
-                       verify_bound: int = 2) -> FacetSemigroup:
+def facet_subsemigroup(semigroup: AffineSemigroup, facet: Facet) -> FacetSemigroup:
     """Build S_tau for a facet of a normal, full semigroup.
 
     The unit basis comes from the Hermite form of the facet-incident
@@ -369,8 +366,7 @@ def facet_subsemigroup(semigroup: AffineSemigroup, facet: Facet,
     exactly, by a certificate: the unit lattice is the kernel lattice of
     n_tau, the transversal pairs to 1, and some positive generator g has
     height 1, so x - <n_tau, x> * g is a unit for every x in the half-space.
-    (A normal full S always has such a g.)  ``verified_box_bound`` records
-    the caller's ``verify_bound``.
+    (A normal full S always has such a g.)
     """
     semigroup.require_normal()
     if not semigroup.is_full():
@@ -401,7 +397,7 @@ def facet_subsemigroup(semigroup: AffineSemigroup, facet: Facet,
             f"no generator has height 1 over {list(n_vec)}; the presentation "
             "is not the half-space")
     return FacetSemigroup(facet, d, tuple(unit_basis), tuple(transversal), positive,
-                          auxiliary, verify_bound)
+                          auxiliary)
 
 
 @dataclass(frozen=True)
@@ -447,10 +443,9 @@ class RegularityReport:
     maximal_order: bool
     has_balanced_dualizing_complex: bool
     rank: int
-    verification_bound: int
 
 
-def regularity_report(semigroup: AffineSemigroup, bound: int = 6) -> RegularityReport:
+def regularity_report(semigroup: AffineSemigroup) -> RegularityReport:
     """Decide normal / CM / Gorenstein / regular / maximal order, all exact.
 
     Gorenstein: an integer point c with <n_tau, c> == 1 for every facet inner
@@ -464,12 +459,12 @@ def regularity_report(semigroup: AffineSemigroup, bound: int = 6) -> RegularityR
     witness = (cert.witness_g, cert.witness_p) if not cert.normal else None
     if not cert.normal:
         return RegularityReport(False, witness, "inapplicable", "inapplicable", None,
-                                False, False, True, semigroup.rank, bound)
+                                False, False, True, semigroup.rank)
     emb = semigroup.full_embedding()
     r = emb.rank
     if r == 0:
         return RegularityReport(True, None, "yes", "yes", zero_vec(semigroup.ambient_dim),
-                                True, True, True, 0, bound)
+                                True, True, True, 0)
     normals = [f.inner_normal for f in emb.semigroup.facets()]
     c = linalg.solve_integer(normals, [1] * len(normals))
     gorenstein = "yes" if c is not None else "no"
@@ -480,7 +475,7 @@ def regularity_report(semigroup: AffineSemigroup, bound: int = 6) -> RegularityR
     if regular and gorenstein != "yes":
         raise VerificationError("regular semigroup failed the Gorenstein criterion")
     return RegularityReport(True, None, "yes", gorenstein, gorenstein_witness,
-                            regular, True, True, r, bound)
+                            regular, True, True, r)
 
 
 def hilbert_function(semigroup: AffineSemigroup, degree: int) -> list[int]:

@@ -18,7 +18,7 @@ from functools import cached_property
 from typing import Mapping, Sequence
 
 from . import linalg
-from .errors import DimensionError, PreconditionError, VerificationError
+from .errors import DimensionError, PreconditionError
 from .lattice_geometry import Facet, IntVec, as_vec, vadd, vneg, vsub, zero_vec
 from .scalars_cocycles import Cocycle, Scalar, commutation_matrix
 from .semigroups import AffineSemigroup, FacetSemigroup, facet_subsemigroup
@@ -198,8 +198,7 @@ class TwistedAlgebra:
 
     # -- twisting system -----------------------------------------------------
 
-    def twisting_system(self, axiom_bound: int = 3,
-                        product_bound: int = 5) -> "TwistingSystem":
+    def twisting_system(self) -> "TwistingSystem":
         """The left twisting system tau with tau_t(X^s) = alpha(s, t) X^s.
 
         Exact for every degree, with no point checked: the twisting-system
@@ -207,8 +206,7 @@ class TwistedAlgebra:
         is the cocycle identity, which every closed-form cocycle satisfies
         because its exponent is a bilinear form, and the twisted product
         tau_t(X^s) X^t = alpha(s, t) X^(s+t) is this algebra's product by
-        definition.  ``axiom_bound`` and ``product_bound`` bound nothing;
-        callers record them.  Needs a positive affine semigroup domain.
+        definition.  Needs a positive affine semigroup domain.
         """
         if self.domain is None or isinstance(self.domain, FacetSemigroup):
             raise PreconditionError("twisting systems are built over semigroup algebras")
@@ -232,7 +230,8 @@ class TwistedAlgebra:
         where 1/c is the product of the Y_i scalars to the g_i, the word scalar
         of (g_0 e_0, ..., g_n e_n) and the alpha(e_i, e_i)^(g_i (g_i - 1) / 2).
         Each scalar is built once, from its sum of integer exponent numerators
-        (``Cocycle.numerators``).
+        (``Cocycle.numerators``).  ``q_matrix`` needs no check: q_ji has the
+        negated exponents of q_ij and q_ii zero ones (``commutation_matrix``).
         """
         if self.domain is None or isinstance(self.domain, FacetSemigroup):
             raise PreconditionError("torus embedding starts from a semigroup algebra")
@@ -256,9 +255,6 @@ class TwistedAlgebra:
             pairs.append(pair)
         y_nums = [[-x for x in alpha.numerators(e, t)] for e, (_, t) in zip(basis, pairs)]
         q_matrix = commutation_matrix(alpha, basis)
-        if not all((q_matrix[i][j] * q_matrix[j][i]).is_one()
-                   for i in range(dim) for j in range(dim)):
-            raise VerificationError("commutation matrix is not skew-symmetric")
         diagonal = [alpha.numerators(e, e) for e in basis]
         gen_scalars = {}
         for g in gens:
@@ -276,21 +272,14 @@ class TwistedAlgebra:
 
         The underlying semigroup must be normal and full.  Returns the algebra
         on S_tau together with the commutation matrix q_tau of the canonical
-        Z^n + N generators (which is multiplicatively skew-symmetric with unit
-        diagonal).
+        Z^n + N generators, skew-symmetric with unit diagonal by construction:
+        ``commutation_matrix`` gives q_ji the negated exponents of q_ij, q_ii zero.
         """
         if self.domain is None or isinstance(self.domain, FacetSemigroup):
             raise PreconditionError("localization starts from a semigroup algebra")
         fs = facet_subsemigroup(self.domain, facet)
         t_vecs = fs.iso_generators
         q_tau = commutation_matrix(self.cocycle, t_vecs)
-        n1 = len(t_vecs)
-        for i in range(n1):
-            if not q_tau[i][i].is_one():
-                raise VerificationError("commutation matrix has non-unit diagonal")
-            for j in range(n1):
-                if not (q_tau[i][j] * q_tau[j][i]).is_one():
-                    raise VerificationError("q_tau is not multiplicatively skew-symmetric")
         algebra = TwistedAlgebra(fs, self.cocycle)
         return FacetLocalization(algebra, fs, q_tau, t_vecs)
 

@@ -766,6 +766,22 @@ def scalar_chain_commutation_matrix(alpha, gens):
     return tuple(tuple(alpha(a, b) / alpha(b, a) for b in gens) for a in gens)
 
 
+def commutation_skew_mismatch(q):
+    """The first (i, j) where a commutation matrix has q_ii != 1 (then j == i)
+    or q_ij q_ji != 1, or None.
+
+    torus_embedding and localize_at_facet ran this check on every call before
+    they relied on commutation_matrix building q_ji as the inverse of q_ij.
+    """
+    for i, row in enumerate(q):
+        if not row[i].is_one():
+            return (i, i)
+        for j, entry in enumerate(row):
+            if not (entry * q[j][i]).is_one():
+                return (i, j)
+    return None
+
+
 def window_torus_embedding(algebra, search_degree=10):
     """The torus embedding of a full S by its degree window and Scalar chains.
 
@@ -830,7 +846,7 @@ def twisting_system_mismatch(algebra, axiom_bound, product_bound):
     twisted commutative product differs from the algebra's; None if none.
     """
     alpha = algebra.cocycle
-    system = algebra.twisting_system(axiom_bound, product_bound)
+    system = algebra.twisting_system()
     layers = elements_by_degree(algebra.domain, max(axiom_bound, product_bound))
     degrees = sorted(v for layer in layers.values() for v in layer)
     add = lambda u, v: tuple(a + b for a, b in zip(u, v))
@@ -903,6 +919,33 @@ def naturally_labeled_posets(n):
                     grown.append(pairs + [(a, k) for a in sorted(chosen)])
         orders = grown
     return orders
+
+
+def embedding_mismatch(sg):
+    """The first failure of a straightening semigroup's lattice embedding i,
+    or None.
+
+    ("valuation", a, b) for a pair with i(a) + i(b) != i(a^b) + i(avb),
+    ("injective", a, b) for a < b with i(a) == i(b), and ("staircase", a)
+    for an image outside 0 <= s_k <= s_0 = 1 or with s_k < s_l for
+    irreducibles p_k <= p_l.  straightening_semigroup ran the first two
+    checks on all pairs, and the third through its own membership test,
+    before it relied on the lattice's Birkhoff certificate.
+    """
+    lat, vec, irr = sg.lattice, sg.vector_of, sg.birkhoff.irreducibles
+    add = lambda u, v: tuple(x + y for x, y in zip(u, v))
+    for a, b in itertools.product(range(lat.size), repeat=2):
+        if add(vec[a], vec[b]) != add(vec[lat.meet[a][b]], vec[lat.join[a][b]]):
+            return ("valuation", a, b)
+        if a < b and vec[a] == vec[b]:
+            return ("injective", a, b)
+    for a in range(lat.size):
+        s = vec[a]
+        if s[0] != 1 or any(not 0 <= x <= 1 for x in s[1:]) or any(
+                lat.leq[p][q] and s[k] < s[l]
+                for k, p in enumerate(irr, 1) for l, q in enumerate(irr, 1)):
+            return ("staircase", a)
+    return None
 
 
 def staircase_round_trip_mismatch(sg, bound):

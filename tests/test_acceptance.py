@@ -122,8 +122,8 @@ def test_criterion_02_twist_reconstruction():
                              ("shifted", shifted_cocycle(dim))]:
             algebra = TwistedAlgebra(s, alpha)
             # construction proves the twisting axiom and product agreement
-            # in every degree; the bounds 3 and 5 bound nothing
-            system = algebra.twisting_system(axiom_bound=3, product_bound=5)
+            # in every degree
+            system = algebra.twisting_system()
             x = algebra.monomial(s.generators[0])
             y = algebra.monomial(s.generators[-1])
             assert system.twisted_product(x, y) == algebra.product(x, y)
@@ -194,7 +194,7 @@ def test_criterion_05_maximal_order_iff_normal():
              (_diamond_semigroup(), True), (_n23(), False),
              (nonnorm_gap, False), (nonnorm_half, False)]
     for s, expect in cases:
-        rep = regularity_report(s, 6)
+        rep = regularity_report(s)
         assert rep.normal == expect
         assert rep.maximal_order == expect
         if not expect:
@@ -212,7 +212,7 @@ def test_criterion_06_regularity_fixtures():
         (_rays13(), "yes", "no", None, False),
     ]
     for s, cm, gor, witness, regular in expected:
-        rep = regularity_report(s, 6)
+        rep = regularity_report(s)
         assert rep.as_cohen_macaulay == cm
         assert rep.as_gorenstein == gor
         assert rep.gorenstein_witness == witness

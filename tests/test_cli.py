@@ -103,6 +103,11 @@ def test_bad_bound_env_is_usage_error(capsys, monkeypatch):
     rc, out, err = run(capsys, ["analyze", "A1"])
     assert rc == 2
     assert "nonnegative" in err
+    # regularity uses no bound, so like normal and facets it never reads one
+    monkeypatch.setenv("QTORIC_BOUND", "soon")
+    rc, out, err = run(capsys, ["regularity", "A1"])
+    assert rc == 0, err
+    assert out == (GOLDEN / "regularity.txt").read_text()
 
 
 def test_unknown_name_exits_2(capsys):

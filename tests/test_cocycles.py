@@ -10,7 +10,8 @@ from qtoric import (Cocycle, DimensionError, QtoricError, ScalarMonomial,
                     commutation_matrix)
 
 from .conftest import quantum_cocycle, shifted_cocycle, two_parameter_cocycle
-from .oracles import bilinear_cocycle_value, scalar_chain_commutation_matrix
+from .oracles import (bilinear_cocycle_value, commutation_skew_mismatch,
+                      scalar_chain_commutation_matrix)
 
 E0, E1 = (1, 0), (0, 1)
 
@@ -199,13 +200,16 @@ def test_commutation_matrix_examples(triv2, upper):
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(st.data())
 def test_commutation_matrix_matches_the_scalar_division(data):
-    # arbitrary (non-basis, negative) vectors, as a facet localization uses
+    # arbitrary (non-basis, negative) vectors, as a facet localization uses;
+    # skew symmetry with unit diagonal is what torus_embedding and
+    # localize_at_facet rely on without checking
     dim = data.draw(st.integers(1, 4))
     fracs = st.fractions(min_value=-2, max_value=2, max_denominator=4)
     alpha = two_parameter_cocycle(dim, lambda: data.draw(st.integers(-3, 3)),
                                   lambda: data.draw(fracs))
     vecs = data.draw(st.lists(st.tuples(*[st.integers(-3, 3)] * dim), min_size=1, max_size=4))
     m, ref = commutation_matrix(alpha, vecs), scalar_chain_commutation_matrix(alpha, vecs)
+    assert commutation_skew_mismatch(m) is None
     assert [list(map(str, row)) for row in m] == [list(map(str, row)) for row in ref]
     assert m == ref
 

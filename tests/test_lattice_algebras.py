@@ -12,10 +12,11 @@ from qtoric import (Cocycle, DimensionError, DistLattice, PreconditionError,
                     straighten, straightening_semigroup)
 
 from .conftest import M3_COVERS, N5_COVERS, quantum_cocycle, two_parameter_cocycle
-from .oracles import (all_posets_up_to, hibi_torus_pairs, join_irreducibles_by_joins,
-                      naturally_labeled_posets, product_chain_straighten,
-                      scalar_chain_straighten, scanned_lattice_tables,
-                      staircase_round_trip_mismatch, standard_chains_with_sum)
+from .oracles import (all_posets_up_to, embedding_mismatch, hibi_torus_pairs,
+                      join_irreducibles_by_joins, naturally_labeled_posets,
+                      product_chain_straighten, scalar_chain_straighten,
+                      scanned_lattice_tables, staircase_round_trip_mismatch,
+                      standard_chains_with_sum)
 
 TRI3 = Cocycle.bicharacter(3, {"q": [[0, 1, 0], [0, 0, 0], [1, 0, 0]]})
 
@@ -151,8 +152,7 @@ def test_staircase_points_round_trip(chain2, chain3, diamond):
     lattices = [chain2, chain3, diamond]
     lattices += [ideal_lattice(n, sorted(rel)) for n, rel in all_posets_up_to(4)]
     for lat in lattices:
-        sg = straightening_semigroup(lat, image_bound=7)
-        assert sg.image_bound == 7
+        sg = straightening_semigroup(lat)
         assert staircase_round_trip_mismatch(sg, 4) is None
     sg = straightening_semigroup(diamond)
     honest = sg.standard_word
@@ -251,15 +251,16 @@ def test_str_embedding_diamond(diamond):
 
 
 def test_str_embedding_is_valuation(chain3, diamond):
-    for lat in [chain3, diamond]:
-        sg = straightening_semigroup(lat)
-        for a, b in itertools.product(range(lat.size), repeat=2):
-            lhs = tuple(u + v for u, v in
-                        zip(sg.vector_of[a], sg.vector_of[b]))
-            rhs = tuple(u + v for u, v in
-                        zip(sg.vector_of[lat.meet[a][b]],
-                            sg.vector_of[lat.join[a][b]]))
-            assert lhs == rhs
+    # what each lattice's Birkhoff certificate proves, checked pair by pair;
+    # grids give the Young lattices L(m, n)
+    lattices = [chain3, diamond]
+    lattices += [ideal_lattice(n, sorted(rel)) for n, rel in all_posets_up_to(4)]
+    lattices += [ideal_lattice(*_grid_poset(m, n)) for m, n in [(2, 3), (2, 4), (3, 3)]]
+    for lat in lattices:
+        assert embedding_mismatch(straightening_semigroup(lat)) is None, lat
+    sg = straightening_semigroup(diamond)
+    sg.vector_of[diamond.index_of("top")] = sg.vector_of[diamond.index_of("x")]
+    assert embedding_mismatch(sg) is not None
 
 
 def test_standard_word_diamond(diamond):
@@ -396,6 +397,7 @@ def test_straighten_matches_the_scalar_ratio_on_all_small_posets():
             for _ in range(4):
                 word = [rng.randrange(sg.lattice.size) for _ in range(length)]
                 scalar, standard = straighten(sg, alpha, word)
+                assert sg.vector_of_word(standard.chain) == sg.vector_of_word(word)
                 ref_scalar, ref_standard = scalar_chain_straighten(sg, alpha, word)
                 assert standard.chain == ref_standard.chain
                 assert str(scalar) == str(ref_scalar) and scalar == ref_scalar
@@ -463,7 +465,7 @@ def test_random_ideal_lattices_are_normal():
             continue  # relations formed a cycle
         if lat.size > 18:
             continue
-        sg = straightening_semigroup(lat, image_bound=3)
+        sg = straightening_semigroup(lat)
         cert = sg.semigroup.normality()
         assert cert.normal
         assert sg.semigroup.is_full()

@@ -3,12 +3,18 @@
 The layers run linalg -> lattice_geometry -> semigroups -> scalars_cocycles
 -> twisted_algebra -> lattice_algebras -> model/cli; ``errors`` sits below
 them all and the package entry points above.  A module may import from its
-own layer or an earlier one, never from a later one.
+own layer or an earlier one, never from a later one.  Public signatures
+take no bound that the function would only record.
 """
 
 import ast
+import dataclasses
+import inspect
 import sys
 from pathlib import Path
+
+from qtoric import (FacetSemigroup, RegularityReport, TwistedAlgebra, facet_subsemigroup,
+                    lattice_algebra_report, regularity_report, straightening_semigroup)
 
 PACKAGE = Path(__file__).parent.parent / "src" / "qtoric"
 LAYER = {"errors": 0, "linalg": 1, "lattice_geometry": 2, "semigroups": 3,
@@ -45,3 +51,21 @@ def test_no_module_imports_a_later_layer():
         _, relative = _imports(path)
         later = {m for m in relative if LAYER[m] > LAYER[path.stem]}
         assert not later, f"{path.name} imports the later layer(s) {sorted(later)}"
+
+
+def test_no_function_takes_a_bound_it_only_records():
+    # each of these once took a bound that it stored and used for nothing;
+    # decompose(bound) keeps its bound because the benchmark's cone-ladder
+    # check (bench/checks.py, check_decomposition) requires
+    # verified_to_degree == bound
+    signatures = {
+        TwistedAlgebra.twisting_system: ["self"],
+        straightening_semigroup: ["lattice", "order"],
+        lattice_algebra_report: ["lattice", "cocycle"],
+        facet_subsemigroup: ["semigroup", "facet"],
+        regularity_report: ["semigroup"],
+    }
+    for fn, params in signatures.items():
+        assert list(inspect.signature(fn).parameters) == params, fn.__qualname__
+    for cls in (FacetSemigroup, RegularityReport):
+        assert not [f.name for f in dataclasses.fields(cls) if "bound" in f.name], cls
