@@ -19,7 +19,7 @@ import os
 import sys
 
 from .errors import ModelParseError, QtoricError, VerificationError
-from .lattice_algebras import straightening_semigroup, straighten, lattice_algebra_report
+from .lattice_algebras import algebra_report, straighten
 from .model import ModelFile, parse_model
 from .scalars_cocycles import (Cocycle, Scalar, are_cohomologous,
                                check_cocycle_identity)
@@ -254,7 +254,7 @@ def _cmd_multiply(args, model: ModelFile) -> list[str]:
 def _cmd_straighten(args, model: ModelFile) -> list[str]:
     lat = _get(model, "lattice", args.name)
     alpha = _get(model, "cocycle", args.cocycle)
-    sg = straightening_semigroup(lat)
+    sg = model.straightening(args.name)
     try:
         word = [lat.index_of(w.strip()) for w in args.word.split(",") if w.strip()]
     except QtoricError as exc:
@@ -277,7 +277,7 @@ def _cmd_lattice(args, model: ModelFile) -> list[str]:
         alpha = _get(model, "cocycle", args.cocycle)
     else:
         alpha = Cocycle.trivial(len(lat.join_irreducibles()) + 1)
-    report = lattice_algebra_report(lat, alpha)
+    report = algebra_report(model.straightening(args.name), alpha)
     sg = report.semigroup
     rep = report.regularity
     lines = [

@@ -419,7 +419,15 @@ def lattice_algebra_report(lattice: DistLattice, cocycle: Cocycle) -> LatticeAlg
     Lattice semigroups are always normal and full, hence maximal orders; a
     failure of those assertions indicates a bug, not bad input.
     """
-    sg = straightening_semigroup(lattice)
+    return algebra_report(straightening_semigroup(lattice), cocycle)
+
+
+def algebra_report(sg: StrSemigroup, cocycle: Cocycle) -> LatticeAlgebraReport:
+    """``lattice_algebra_report`` from a straightening semigroup built earlier.
+
+    A semigroup kept across calls keeps its normality and facet certificates,
+    so a second report on it repeats no cone computation.
+    """
     if cocycle.dim != sg.ambient_dim:
         raise PreconditionError(
             f"cocycle dimension {cocycle.dim} does not match rank+1 = {sg.ambient_dim}")

@@ -208,9 +208,17 @@ def _double_description(rays: Sequence[IntVec], d: int
     those with <n, r> < 0 by the primitive combinations
     <p, r> n_q - <q, r> n_p of the adjacent pairs with <p, r> > 0 > <q, r>.
     Facets p and q are adjacent iff no third facet's incidence set contains
-    their common one; incidence sets are bitmasks over the ray indices seen
-    so far.  Before that update, r is placed: it is joined to every
-    (d-1)-face of a current simplex that lies on a facet with <n, r> < 0.
+    their common one.  Before that update, r is placed: it is joined to
+    every (d-1)-face of a current simplex that lies on a facet with
+    <n, r> < 0.  Incidence sets are bitmasks over the ray indices seen so
+    far; per added ray they are also read the other way, as ``on[j]``, the
+    bitmask over facet positions of the facets through ray j.  The AND of
+    ``on[j]`` over a set of rays is exactly the set of facets whose
+    incidence sets contain it (all facets for the empty set).  So a face is
+    visible iff that AND over its rays meets the mask of the facets below r,
+    and p and q are adjacent iff that AND over their common rays is {p, q}:
+    it always holds p and q, and any third facet in it contains the common
+    set.
 
     Returns the facets as (primitive inner normal, incidence bitmask) and
     the simplices as tuples of d ray indices.  The rays must span R^d; the
@@ -231,13 +239,25 @@ def _double_description(rays: Sequence[IntVec], d: int
             continue
         bit = 1 << k
         heights = [vdot(n, r) for n, _ in facets]
-        below = [z for (_, z), h in zip(facets, heights) if h < 0]
-        if below:
-            for s in simplices[:]:
-                mask = sum(1 << j for j in s)
-                simplices += [tuple(j for j in s if j != i) + (k,) for i in s
-                              if any(mask & ~(1 << i) & ~z == 0 for z in below)]
+        below = sum(1 << c for c, h in enumerate(heights) if h < 0)
         kept = [(n, z | bit if h == 0 else z) for (n, z), h in zip(facets, heights) if h >= 0]
+        if not below:
+            facets = kept
+            continue
+        on = [0] * len(rays)
+        for c, (_, z) in enumerate(facets):
+            while z:
+                low = z & -z
+                on[low.bit_length() - 1] |= 1 << c
+                z ^= low
+        for s in simplices[:]:
+            for i in s:
+                acc = below
+                for j in s:
+                    if j != i:
+                        acc &= on[j]
+                if acc:
+                    simplices.append(tuple(j for j in s if j != i) + (k,))
         for a, ((p, zp), hp) in enumerate(zip(facets, heights)):
             if hp <= 0:
                 continue
@@ -245,8 +265,15 @@ def _double_description(rays: Sequence[IntVec], d: int
                 if hq >= 0:
                     continue
                 common = zp & zq  # spans a ridge, so holds at least d - 2 rays
-                if common.bit_count() < d - 2 or any(
-                        common & ~z == 0 for c, (_, z) in enumerate(facets) if c != a and c != b):
+                if common.bit_count() < d - 2:
+                    continue
+                pair = 1 << a | 1 << b
+                acc, rest = (1 << len(facets)) - 1, common
+                while rest and acc != pair:
+                    low = rest & -rest
+                    acc &= on[low.bit_length() - 1]
+                    rest ^= low
+                if acc != pair:
                     continue
                 kept.append((primitive(tuple(hp * y - hq * x for x, y in zip(p, q))),
                              common | bit))

@@ -15,12 +15,12 @@ Keys may carry a parameter suffix (bichar:q).  Errors carry line and column.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import accumulate
 
 from .errors import ModelParseError, QtoricError
-from .lattice_algebras import DistLattice
+from .lattice_algebras import DistLattice, StrSemigroup, straightening_semigroup
 from .scalars_cocycles import Cocycle
 from .semigroups import AffineSemigroup
 
@@ -218,6 +218,10 @@ class ModelFile:
     cocycles: dict[str, Cocycle]
     lattices: dict[str, DistLattice]
     bound: int | None
+    # straightening semigroups by lattice name, built on first use and kept
+    # with the model, so their normality and facet caches outlive one command
+    _straightening: dict[str, StrSemigroup] = field(
+        default_factory=dict, init=False, repr=False, compare=False)
 
     def semigroup(self, name: str) -> AffineSemigroup:
         if name not in self.semigroups:
@@ -233,6 +237,12 @@ class ModelFile:
         if name not in self.lattices:
             raise KeyError(f"model defines no lattice named {name!r}")
         return self.lattices[name]
+
+    def straightening(self, name: str) -> StrSemigroup:
+        """The straightening semigroup of the named lattice, built once per model."""
+        if name not in self._straightening:
+            self._straightening[name] = straightening_semigroup(self.lattice(name))
+        return self._straightening[name]
 
 
 def _parse_semigroup(fields: dict, lineno: int) -> AffineSemigroup:

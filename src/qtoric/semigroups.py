@@ -163,9 +163,24 @@ class AffineSemigroup:
 
     @staticmethod
     def _search(target, gens, weight, inside, depth_bound):
-        """Exhaustive subtraction search over generator multisets."""
+        """Exhaustive subtraction search over generator multisets.
+
+        A state (v, max_idx) may still subtract gens[0..max_idx].  The last
+        level, max_idx == 0, is decided in closed form: only gens[0] is left,
+        so v is reached iff v = m * gens[0] for an integer m >= 1, and the
+        witness is the path plus m zeros.  That is what subtracting gens[0]
+        one summand at a time decides: every state (m - j) * gens[0] on the
+        way lies in the cone, so it passes ``weight >= 0`` and ``inside``, and
+        a non-multiple never reaches zero.  Under a depth bound, a
+        non-multiple or an m beyond the remaining depth marks the search
+        limited, as the depth cut would.  This level does not consult the
+        ``failed`` memo, which is blind to depth: under a bound it would
+        refuse a state that failed only at a greater depth.
+        """
         failed: set = set()
         limited = False
+        g0 = gens[0]
+        lead = next(i for i, c in enumerate(g0) if c != 0)
 
         def rec(v, max_idx, depth, path):
             nonlocal limited
@@ -174,6 +189,13 @@ class AffineSemigroup:
             if depth_bound is not None and depth >= depth_bound:
                 limited = True
                 return None
+            if max_idx == 0:
+                m, r = divmod(v[lead], g0[lead])
+                if r or m < 1 or any(a != m * b for a, b in zip(v, g0)) or (
+                        depth_bound is not None and m > depth_bound - depth):
+                    limited = True
+                    return None
+                return tuple(sorted(path + [0] * m))
             key = (v, max_idx)
             if key in failed:
                 return None

@@ -13,7 +13,7 @@ from math import gcd
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 
-from qtoric import (ModelParseError, PreconditionError, QtoricError, Scalar,
+from qtoric import (Membership, ModelParseError, PreconditionError, QtoricError, Scalar,
                     StandardWord, TorusEmbedding, TwistedAlgebra, TwistedElement,
                     elements_by_degree, linalg)
 from qtoric import model as model_module
@@ -171,6 +171,43 @@ def brute_membership(generators, x) -> bool:
                     nxt.append(w)
         frontier = nxt
     return x in seen
+
+
+def walk_search(target, gens, weight, inside, depth_bound):
+    """``AffineSemigroup._search`` as it was before its last level was closed.
+
+    The same recursive subtraction search with the same generator order and
+    the same depth-blind ``failed`` memo, except that the state
+    max_idx == 0 walks v - j * gens[0] one summand at a time.  Install it
+    with ``staticmethod`` in place of ``_search`` to get its decisions.
+    """
+    failed: set = set()
+    limited = False
+
+    def rec(v, max_idx, depth, path):
+        nonlocal limited
+        if all(c == 0 for c in v):
+            return tuple(sorted(path))
+        if depth_bound is not None and depth >= depth_bound:
+            limited = True
+            return None
+        key = (v, max_idx)
+        if key in failed:
+            return None
+        for i in range(max_idx + 1):
+            nxt = tuple(a - b for a, b in zip(v, gens[i]))
+            if weight(nxt) < 0 or not inside(nxt):
+                continue
+            got = rec(nxt, i, depth + 1, path + [i])
+            if got is not None:
+                return got
+        failed.add(key)
+        return None
+
+    witness = rec(tuple(target), len(gens) - 1, 0, [])
+    member = witness is not None
+    return Membership(member, witness,
+                      member or not limited if depth_bound is not None else True, depth_bound)
 
 
 def brute_members_by_degree(generators, degree):
@@ -348,6 +385,53 @@ def subset_scan_facets(cone):
         incident = frozenset(i for i, p in enumerate(pairings) if p == 0)
         found[normal] = incident
     return [Facet(n, found[n]) for n in sorted(found)]
+
+
+def rescan_double_description(rays, d):
+    """``lattice_geometry._double_description`` with incidence scans per test.
+
+    The pass as it was before the facet-position bitmasks: a simplex face is
+    visible iff its ray mask lies inside the incidence mask of some facet
+    below the new ray, and facets p and q are adjacent iff no third facet's
+    incidence mask contains their common one, each found by scanning the
+    facet list.  Same start, same order, same output.
+    """
+    start = []
+    for i, r in enumerate(rays):
+        if len(start) < d and linalg.int_rank([rays[j] for j in start] + [r]) > len(start):
+            start.append(i)
+    adj, det = linalg.adjugate(linalg.transpose([rays[i] for i in start]))
+    sgn = 1 if det > 0 else -1
+    start_mask = sum(1 << i for i in start)
+    facets = [(primitive(tuple(sgn * x for x in row)), start_mask & ~(1 << i))
+              for row, i in zip(adj, start)]
+    simplices = [tuple(start)]
+    for k, r in enumerate(rays):
+        if start_mask >> k & 1:
+            continue
+        bit = 1 << k
+        heights = [vdot(n, r) for n, _ in facets]
+        below = [z for (_, z), h in zip(facets, heights) if h < 0]
+        if below:
+            for s in simplices[:]:
+                mask = sum(1 << j for j in s)
+                simplices += [tuple(j for j in s if j != i) + (k,) for i in s
+                              if any(mask & ~(1 << i) & ~z == 0 for z in below)]
+        kept = [(n, z | bit if h == 0 else z) for (n, z), h in zip(facets, heights) if h >= 0]
+        for a, ((p, zp), hp) in enumerate(zip(facets, heights)):
+            if hp <= 0:
+                continue
+            for b, ((q, zq), hq) in enumerate(zip(facets, heights)):
+                if hq >= 0:
+                    continue
+                common = zp & zq
+                if common.bit_count() < d - 2 or any(
+                        common & ~z == 0 for c, (_, z) in enumerate(facets) if c != a and c != b):
+                    continue
+                kept.append((primitive(tuple(hp * y - hq * x for x, y in zip(p, q))),
+                             common | bit))
+        facets = kept
+    return facets, simplices
 
 
 def exhaustive_hilbert_basis(generators, dim):

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qtoric import cli
+from qtoric import cli, lattice_geometry, semigroups
 from qtoric.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -325,6 +325,43 @@ def test_warm_call_leaves_no_cyclic_garbage(capsys):
             gc.enable()
         assert rc == 0
         capsys.readouterr()
+
+
+def test_deep_numerical_multiplies_answer(capsys, tmp_path):
+    # the support check decides the last generator in closed form, so these
+    # need a handful of nested calls instead of thousands; with the bilinear
+    # cocycle q^(s*t) the product of X[a] and X[b] is q^(a*b)*X[a+b]
+    path = tmp_path / "numerical.model"
+    path.write_text("semigroup N23 gens=[[2],[3]]\n"
+                    "semigroup N5711 gens=[[5],[7],[11]]\n"
+                    "cocycle c1 dim=1 params=[q] bichar:q=[[1]]\n", encoding="utf-8")
+    for name, a, b in [("N23", 3000, 3), ("N23", 10000, 3), ("N5711", 10000, 7)]:
+        rc, out, err = run(capsys, ["multiply", name, "c1", str(a), str(b)], model=str(path))
+        assert (rc, err) == (0, ""), (name, a)
+        assert out.splitlines()[-1] == f"product = q^{a * b}*X[{a + b}]"
+
+
+def test_lattice_commands_reuse_the_straightening_semigroup(capsys, monkeypatch):
+    # the model keeps one straightening semigroup per lattice, so a second
+    # lattice report on it repeats no facet search and prints the same bytes
+    calls = []
+    real = lattice_geometry.cone_facets
+
+    def counting(cone):
+        calls.append(cone)
+        return real(cone)
+
+    monkeypatch.setattr(semigroups, "cone_facets", counting)
+    monkeypatch.setattr(cli, "_model", None)
+    argv = ["lattice", "D", "--cocycle", "tri3"]
+    first = run(capsys, argv)
+    assert calls
+    calls.clear()
+    assert run(capsys, argv) == first
+    assert run(capsys, ["straighten", "D", "tri3", "y,x"])[0] == 0
+    assert calls == []
+    _, model = cli._read_model(MODEL)
+    assert model.straightening("D") is model.straightening("D")
 
 
 def test_invalid_utf8_model_exits_3(capsys, tmp_path):

@@ -13,8 +13,8 @@ from qtoric.lattice_geometry import primitive, vdot
 
 from .oracles import (GramSublattice, brute_cone_points, brute_facets,
                       brute_hilbert_basis, brute_members_by_degree,
-                      exhaustive_hilbert_basis, same_lattice, subset_scan_facets,
-                      sympy_rank)
+                      exhaustive_hilbert_basis, rescan_double_description, same_lattice,
+                      subset_scan_facets, sympy_rank)
 
 # the 3D cone with facet normals (0,1,0),(0,0,1),(1,-1,0),(1,0,-1)
 SQUARE_CONE = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
@@ -252,6 +252,29 @@ def _random_rays(seed, dim, count, entries):
     rays = sorted(rays)
     assert linalg.int_rank(rays) == dim
     return rays
+
+
+@settings(max_examples=300, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(full_cones())
+def test_double_description_matches_the_rescan_pass_random(cone):
+    # the same facets, incidence masks and simplices, in the same order
+    gens, dim = cone
+    rays = list(dict.fromkeys(primitive(g) for g in gens if any(g)))
+    assert lattice_geometry._double_description(rays, dim) == \
+        rescan_double_description(rays, dim)
+
+
+def test_double_description_matches_the_rescan_pass_on_larger_cones():
+    # 0/1 cones at height one and 0..2 boxes up to d = 7, 16 rays
+    for seed, dim, count, entries in [(1, 4, 8, range(2)), (2, 5, 12, range(2)),
+                                      (3, 6, 14, range(3)), (4, 7, 16, range(3))]:
+        rays = _random_rays(seed, dim, count, entries)
+        if entries == range(2):
+            rays = list(dict.fromkeys((1,) + r[1:] for r in rays))
+            assert linalg.int_rank(rays) == dim
+        assert lattice_geometry._double_description(rays, dim) == \
+            rescan_double_description(rays, dim), (seed, dim)
 
 
 def test_placing_triangulation_covers_the_cone_once():

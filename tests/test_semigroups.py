@@ -18,7 +18,7 @@ from qtoric.lattice_geometry import vdot
 from .oracles import (all_posets_up_to, brute_members_by_degree, brute_membership,
                       brute_normality_witness, decomposition_mismatch,
                       facet_presentation_mismatch, gorenstein_candidate_works,
-                      h_star_is_palindromic)
+                      h_star_is_palindromic, walk_search)
 from .test_lattice_geometry import small_cones
 
 SQUARE_CONE = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
@@ -122,6 +122,81 @@ def test_membership_matches_brute_force(a1, nonnorm_gap, nonnorm_half):
         s = AffineSemigroup(gens)
         for x in itertools.product(range(4), repeat=2):
             assert s.contains(x) == brute_membership(gens, x)
+
+
+def _random_semigroup(rng, kind, dim):
+    """Generators of a seeded semigroup in Z^dim: positive, pointed but not
+    positive (a unimodular image of a positive one; in dimension 1 its
+    negative), or with a line (some g together with -g)."""
+    gens = [tuple(rng.randint(0, 4) for _ in range(dim)) for _ in range(rng.randint(1, 4))]
+    if kind == "pointed" and dim == 1:
+        gens = [(-g[0],) for g in gens]
+    elif kind == "pointed":
+        i, j = rng.sample(range(dim), 2)
+        k = rng.choice((-2, -1))
+        gens = [tuple(c + k * g[j] if r == i else c for r, c in enumerate(g)) for g in gens]
+    elif kind == "line":
+        gens = [tuple(rng.randint(-3, 3) for _ in range(dim)) for _ in range(rng.randint(0, 3))]
+        g = tuple(rng.randint(-3, 3) for _ in range(dim))
+        gens += [g, tuple(-c for c in g)]
+    return [g for g in gens if any(g)]
+
+
+def _walk_answers(gens, queries):
+    """The decisions of the replaced walk search, on a fresh semigroup."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AffineSemigroup, "_search", staticmethod(walk_search))
+        s = AffineSemigroup(gens)
+        return [s.membership(x, bound) for x, bound in queries]
+
+
+def test_membership_matches_the_walk_search():
+    # complete answers equal the walk's; a bounded search finds every member
+    # the walk finds (it may find more, or another witness, where the walk's
+    # depth-blind memo cut a branch), each witness summing to x within bound
+    rng = random.Random(23)
+    done = {"positive": 0, "pointed": 0, "line": 0}
+    while min(done.values()) < 15:
+        kind = rng.choice(sorted(done))
+        dim = rng.randint(1, 3)
+        gens = _random_semigroup(rng, kind, dim)
+        if not gens:
+            continue
+        s = AffineSemigroup(gens)
+        if s.is_pointed() == (kind == "line") or s.positive != (kind == "positive"):
+            continue
+        low = 0 if kind == "positive" else -8
+        queries = [(tuple(rng.randint(low, 15) for _ in range(dim)),
+                    rng.randint(1, 7) if kind == "line" else None) for _ in range(30)]
+        for (x, bound), got, old in zip(queries, [s.membership(x, b) for x, b in queries],
+                                        _walk_answers(gens, queries)):
+            if bound is None or not got.member:
+                assert got == old, (gens, x, bound)
+            else:
+                assert len(got.witness) <= bound and got.complete
+                summands = s.witness_vectors(got)
+                assert tuple(sum(g[c] for g in summands) for c in range(dim)) == x, (gens, x)
+        done[kind] += 1
+
+
+def test_bounded_search_finds_the_witness_the_walk_missed():
+    # the walk recorded (-4,) with only (-2,) left as failed at depth 3, under
+    # (-5,) - (3,); met again at depth 2, under (-5,) - (1,), it was refused
+    # from the memo although its two summands fit the bound
+    gens, x = [(-2,), (3,), (1,)], (-5,)
+    assert _walk_answers(gens, [(x, 4)]) == [Membership(False, None, False, 4)]
+    assert AffineSemigroup(gens).membership(x, bound=4) == Membership(True, (0, 0, 0, 2), True, 4)
+
+
+def test_numerical_membership_at_ten_thousand_is_fast():
+    # only the first generator is left at the last level, which is decided
+    # as a divisibility instead of one call per summand
+    for gens in ([(2,), (3,)], [(5,), (7,), (11,)]):
+        s = AffineSemigroup(gens)
+        t = time.perf_counter()
+        m = s.membership((10**4,))
+        assert time.perf_counter() - t < 0.1
+        assert m.member and sum(s.generators[i][0] for i in m.witness) == 10**4
 
 
 def test_full_embedding_examples(n23):
