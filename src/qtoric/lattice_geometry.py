@@ -28,6 +28,7 @@ IntVec = tuple[int, ...]
 # so cap the instance size rather than degrade silently.
 MAX_CONE_GENERATORS = 20
 MAX_CONE_DIM = 7
+MAX_PARALLELEPIPED_POINTS = 200_000
 
 
 def as_vec(entries: Iterable[int]) -> IntVec:
@@ -288,7 +289,8 @@ def cone_facets(cone: Cone) -> list[Facet]:
     primitive rays, in order of first occurrence (``_double_description``);
     each facet's incident set is then read off the final normal against
     every nonzero generator.  Exact and complete; the cone may contain a
-    line.
+    line.  Each call runs its own pass; ``AffineSemigroup.facets`` reads the
+    pass its semigroup keeps.
     """
     gens = [g for g in cone.generators if not is_zero(g)]
     d = cone.ambient_dim
@@ -298,6 +300,11 @@ def cone_facets(cone: Cone) -> list[Facet]:
             f"cone is not full-dimensional (rank {linalg.int_rank(gens)} < {d}); "
             "restrict to the span via lattice_of first")
     facets, _ = _double_description(list(dict.fromkeys(primitive(g) for g in gens)), d)
+    return _incident_facets(facets, gens)
+
+
+def _incident_facets(facets: Sequence[tuple[IntVec, int]], gens: Sequence[IntVec]) -> list[Facet]:
+    """The facets of a pass, sorted by inner normal, each with its incident generators."""
     return [Facet(n, frozenset(i for i, g in enumerate(gens) if vdot(n, g) == 0))
             for n in sorted(n for n, _ in facets)]
 
@@ -330,7 +337,8 @@ def _parallelepiped_points(rays: Sequence[IntVec]) -> list[IntVec]:
     return [tuple(sum(map(mul, row, u)) // size for row in m) for u in residues]
 
 
-def hilbert_basis(cone: Cone, lattice: Sublattice, max_points: int = 200_000) -> list[IntVec]:
+def hilbert_basis(cone: Cone, lattice: Sublattice,
+                  max_points: int = MAX_PARALLELEPIPED_POINTS) -> list[IntVec]:
     """Unique minimal generating set of the semigroup cone ∩ lattice.
 
     The cone must be pointed and full-dimensional within the lattice's span.
@@ -346,7 +354,8 @@ def hilbert_basis(cone: Cone, lattice: Sublattice, max_points: int = 200_000) ->
     complete.  ``max_points`` caps the enumeration: the sum of |det| over the
     simplices, which is their number of parallelepiped points, is charged
     before any point is enumerated, and a refusal names the limit and the sum
-    that exceeded it.
+    that exceeded it.  Each call runs its own pass; ``normality`` reads the
+    pass its semigroup keeps, over the same rays in the same order.
     """
     d = lattice.rank
     rays: list[IntVec] = []
@@ -372,7 +381,14 @@ def hilbert_basis(cone: Cone, lattice: Sublattice, max_points: int = 200_000) ->
         line = linalg.kernel_basis(normals, d)[0]
         raise PreconditionError(
             "cone contains a line", certificate=lattice.from_coordinates(line))
+    return sorted(lattice.from_coordinates(x)
+                  for x in _hilbert_basis_of_pass(rays, normals, simplices, max_points))
 
+
+def _hilbert_basis_of_pass(rays: Sequence[IntVec], normals: Sequence[IntVec],
+                           simplices: Sequence[tuple[int, ...]], max_points: int) -> list[IntVec]:
+    """``hilbert_basis`` from the pass of a pointed cone, in the rays' coordinates."""
+    d = len(rays[0])
     total = 0
     dets = []
     for simplex in simplices:
@@ -407,4 +423,4 @@ def hilbert_basis(cone: Cone, lattice: Sublattice, max_points: int = 200_000) ->
             continue
         basis.append(x)
         packed_basis.append(top ^ guard)
-    return sorted(lattice.from_coordinates(x) for x in basis)
+    return basis

@@ -10,16 +10,18 @@ regular / maximal-order decisions.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Sequence
 
 from . import linalg
 from .errors import (DimensionError, NotNormalError, PreconditionError,
                      SizeLimitError, VerificationError)
-from .lattice_geometry import (Cone, Facet, IntVec, Sublattice, as_vec,
-                               check_cone_limits, cone_facets, hilbert_basis,
-                               is_zero, lattice_of, primitive, vadd, vdot, vsub,
-                               zero_vec)
+from .lattice_geometry import (MAX_PARALLELEPIPED_POINTS, Cone, Facet, IntVec,
+                               Sublattice, _double_description,
+                               _hilbert_basis_of_pass, _incident_facets, as_vec,
+                               check_cone_limits, is_zero, lattice_of, primitive,
+                               vadd, vdot, vsub, zero_vec)
 
 # hilbert_function enumerates every member up to its degree N; in dimension d
 # there are at most C(N + d, d) of them (the nonnegative vectors of coordinate
@@ -43,7 +45,11 @@ class Membership:
 
 
 class AffineSemigroup:
-    """Subsemigroup of (Z^(n+1), +) given by finitely many nonzero generators."""
+    """Subsemigroup of (Z^(n+1), +) given by finitely many nonzero generators.
+
+    Pointedness, the pointed membership search, the facets, normality and
+    the regularity report all read one double-description pass (``_cone``).
+    """
 
     def __init__(self, generators: Sequence[Sequence[int]], ambient_dim: int | None = None):
         gens = tuple(as_vec(g) for g in generators)
@@ -65,10 +71,9 @@ class AffineSemigroup:
         self.cone = Cone(gens if gens else (zero_vec(self.ambient_dim),), self.ambient_dim)
         self.positive = bool(gens) and all(all(x >= 0 for x in g) for g in gens)
         self._member_cache: dict[IntVec, Membership] = {}
-        self._pointed_data = None
+        self._cone_pass = None
         self._normality_cache: NormalityCertificate | None = None
         self._normality_refusal: SizeLimitError | None = None
-        self._facets_cache: list[Facet] | None = None
         self._embedding: FullEmbedding | None = None
 
     # -- basic structure ---------------------------------------------------
@@ -88,32 +93,34 @@ class AffineSemigroup:
         gens = ",".join(str(list(g)) for g in self.generators)
         return f"AffineSemigroup([{gens}], dim={self.ambient_dim})"
 
-    def _pointed(self):
-        """(embedded generators, cone normals, positive functional) or None.
-
-        The functional is the sum of the facet inner normals of the embedded
-        cone; it is strictly positive on every nonzero cone element, which
-        makes the membership search terminate even without coordinate
-        positivity.  None when the cone contains a line.
+    def _cone(self):
+        """(rays, facets sorted by normal, simplices): the one ``_double_description``
+        pass over the generators' distinct primitive coordinates in G(S), in order
+        of first occurrence.  Callers charge their size limits first.
         """
-        if self._pointed_data is None:
-            emb_gens = [self.group.coordinates(g) for g in self.generators]
-            r = self.group.rank
-            facets = cone_facets(Cone(tuple(emb_gens), r))
-            normals = [f.inner_normal for f in facets]
-            if linalg.int_rank(normals) < r:
-                self._pointed_data = (None,)
-            else:
-                w = tuple(sum(n[i] for n in normals) for i in range(r))
-                self._pointed_data = ((emb_gens, normals, w),)
-        return self._pointed_data[0]
+        if self._cone_pass is None:
+            rays = list(dict.fromkeys(primitive(self.group.coordinates(g))
+                                      for g in self.generators))
+            facets, simplices = _double_description(rays, self.rank)
+            self._cone_pass = (rays, sorted(facets), simplices)
+        return self._cone_pass
+
+    @cached_property
+    def _pointed(self):
+        """(generators, inner normals, their sum) in coordinates of G(S), or None with a line.
+
+        The sum is strictly positive on every nonzero cone element, so the
+        membership search terminates even without coordinate positivity.
+        """
+        check_cone_limits(len(self.generators), self.rank)
+        normals = [n for n, _ in self._cone()[1]]
+        if linalg.int_rank(normals) < self.rank:
+            return None
+        w = tuple(map(sum, zip(*normals)))
+        return [self.group.coordinates(g) for g in self.generators], normals, w
 
     def is_pointed(self) -> bool:
-        if self.is_trivial():
-            return True
-        if self.positive:
-            return True
-        return self._pointed() is not None
+        return self.is_trivial() or self.positive or self._pointed is not None
 
     # -- membership --------------------------------------------------------
 
@@ -137,20 +144,16 @@ class AffineSemigroup:
         if cached is not None and cached.bound in (None, bound):
             return cached
         if self.positive:
-            gens = list(self.generators)
-            weight = lambda v: sum(v)
-            inside = lambda v: all(c >= 0 for c in v)
-            target = x
-            result = self._search(target, gens, weight, inside, None)
-        elif self._pointed() is not None:
-            emb_gens, normals, w = self._pointed()
+            result = self._search(x, self.generators, sum,
+                                  lambda v: all(c >= 0 for c in v), None)
+        elif (pointed := self._pointed) is not None:
+            emb_gens, normals, w = pointed
             target = self.group.coordinates(x)
             if target is None:
                 result = Membership(False, None, True)
             else:
-                weight = lambda v: vdot(w, v)
-                inside = lambda v: all(vdot(n, v) >= 0 for n in normals)
-                result = self._search(target, emb_gens, weight, inside, None)
+                result = self._search(target, emb_gens, lambda v: vdot(w, v),
+                                      lambda v: all(vdot(n, v) >= 0 for n in normals), None)
         else:
             if bound is None:
                 raise PreconditionError(
@@ -173,11 +176,12 @@ class AffineSemigroup:
         way lies in the cone, so it passes ``weight >= 0`` and ``inside``, and
         a non-multiple never reaches zero.  Under a depth bound, a
         non-multiple or an m beyond the remaining depth marks the search
-        limited, as the depth cut would.  This level does not consult the
-        ``failed`` memo, which is blind to depth: under a bound it would
-        refuse a state that failed only at a greater depth.
+        limited, as the depth cut would.  ``failed`` maps a failed state to
+        the most summands it had left (0 in a complete search); a state is
+        skipped only with no more left now, as its search is then part of one
+        that failed.
         """
-        failed: set = set()
+        failed: dict = {}
         limited = False
         g0 = gens[0]
         lead = next(i for i, c in enumerate(g0) if c != 0)
@@ -197,7 +201,8 @@ class AffineSemigroup:
                     return None
                 return tuple(sorted(path + [0] * m))
             key = (v, max_idx)
-            if key in failed:
+            left = depth_bound - depth if depth_bound is not None else 0
+            if failed.get(key, -1) >= left:
                 return None
             for i in range(max_idx + 1):
                 nxt = vsub(v, gens[i])
@@ -206,7 +211,7 @@ class AffineSemigroup:
                 got = rec(nxt, i, depth + 1, path + [i])
                 if got is not None:
                     return got
-            failed.add(key)
+            failed[key] = left
             return None
 
         try:
@@ -247,40 +252,38 @@ class AffineSemigroup:
         """
         if self._normality_refusal is not None:
             raise self._normality_refusal
-        if self._normality_cache is not None:
-            return self._normality_cache
-        cert = self._normality()
-        self._normality_cache = cert
-        return cert
+        if self._normality_cache is None:
+            self._normality_cache = self._normality()
+        return self._normality_cache
 
     def _normality(self) -> "NormalityCertificate":
         if self.is_trivial() or self.rank == 0:
             return NormalityCertificate(True, (), None, None)
         try:
-            # the Hilbert-basis limits on its count of rays, before the embedding
+            # the Hilbert-basis limits on its count of rays, before the pass
             check_cone_limits(len({primitive(g) for g in self.generators}), self.rank)
-            emb = self.full_embedding()
-            s_emb = emb.semigroup
-            hb = hilbert_basis(s_emb.cone, Sublattice.standard(emb.rank))
+            rays, facets, simplices = self._cone()
+            normals = [n for n, _ in facets]
+            if linalg.int_rank(normals) < self.rank:
+                raise PreconditionError(
+                    "normality needs a pointed cone: cone contains a line",
+                    certificate=linalg.kernel_basis(normals, self.rank)[0])
+            hb = tuple(map(self.group.from_coordinates, sorted(_hilbert_basis_of_pass(
+                rays, normals, simplices, MAX_PARALLELEPIPED_POINTS))))
         except SizeLimitError as exc:
             # a size refusal is final for this semigroup: keep it
             self._normality_refusal = exc
             raise
-        except PreconditionError as exc:
-            raise PreconditionError(
-                f"normality needs a pointed cone: {exc}", certificate=exc.certificate)
-        for h in hb:
-            if not s_emb.contains(h):
-                g = emb.to_ambient(h)
+        for g in hb:
+            if not self.contains(g):
                 p = 2
-                while not s_emb.contains(tuple(p * c for c in h)):
+                while not self.contains(tuple(p * c for c in g)):
                     p += 1
                     if p > 10_000:
                         raise VerificationError(
                             "no small multiple of a Hilbert-basis element lies in S")
-                return NormalityCertificate(
-                    False, tuple(emb.to_ambient(v) for v in hb), g, p)
-        return NormalityCertificate(True, tuple(emb.to_ambient(v) for v in hb), None, None)
+                return NormalityCertificate(False, hb, g, p)
+        return NormalityCertificate(True, hb, None, None)
 
     def require_normal(self) -> "NormalityCertificate":
         cert = self.normality()
@@ -298,9 +301,9 @@ class AffineSemigroup:
                 "facets in ambient coordinates need a full semigroup; "
                 "use full_embedding() first",
                 certificate=self.rank)
-        if self._facets_cache is None:
-            self._facets_cache = cone_facets(self.cone)
-        return self._facets_cache
+        # the Hermite basis of G(S) = Z^d is the identity: the pass is ambient
+        check_cone_limits(len(self.generators), self.ambient_dim)
+        return _incident_facets(self._cone()[1], self.generators)
 
 
 @dataclass(frozen=True)
@@ -478,21 +481,19 @@ def regularity_report(semigroup: AffineSemigroup) -> RegularityReport:
     if not semigroup.positive and not semigroup.is_trivial():
         raise PreconditionError("regularity report needs a positive semigroup")
     cert = semigroup.normality()
-    witness = (cert.witness_g, cert.witness_p) if not cert.normal else None
     if not cert.normal:
-        return RegularityReport(False, witness, "inapplicable", "inapplicable", None,
-                                False, False, True, semigroup.rank)
-    emb = semigroup.full_embedding()
-    r = emb.rank
+        return RegularityReport(False, (cert.witness_g, cert.witness_p), "inapplicable",
+                                "inapplicable", None, False, False, True, semigroup.rank)
+    group, r = semigroup.group, semigroup.rank
     if r == 0:
         return RegularityReport(True, None, "yes", "yes", zero_vec(semigroup.ambient_dim),
                                 True, True, True, 0)
-    normals = [f.inner_normal for f in emb.semigroup.facets()]
+    check_cone_limits(len(semigroup.generators), r)  # counts generators, as facets() does
+    normals = [n for n, _ in semigroup._cone()[1]]
     c = linalg.solve_integer(normals, [1] * len(normals))
     gorenstein = "yes" if c is not None else "no"
-    gorenstein_witness = emb.to_ambient(c) if c is not None else None
-    hb = cert.saturation_hilbert_basis
-    hb_emb = [emb.to_coordinates(h) for h in hb]
+    gorenstein_witness = group.from_coordinates(c) if c is not None else None
+    hb_emb = [group.coordinates(h) for h in cert.saturation_hilbert_basis]
     regular = len(hb_emb) == r and abs(linalg.det_int(hb_emb)) == 1
     if regular and gorenstein != "yes":
         raise VerificationError("regular semigroup failed the Gorenstein criterion")

@@ -13,12 +13,14 @@ from math import gcd
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 
-from qtoric import (Membership, ModelParseError, PreconditionError, QtoricError, Scalar,
-                    StandardWord, TorusEmbedding, TwistedAlgebra, TwistedElement,
-                    elements_by_degree, linalg)
+from qtoric import (AffineSemigroup, Cone, Membership, ModelParseError,
+                    NormalityCertificate, PreconditionError, QtoricError, RegularityReport,
+                    Scalar, SizeLimitError, StandardWord, Sublattice, TorusEmbedding,
+                    TwistedAlgebra, TwistedElement, VerificationError, cone_facets,
+                    elements_by_degree, hilbert_basis, linalg)
 from qtoric import model as model_module
 from qtoric.lattice_geometry import (Facet, check_cone_limits, is_zero, primitive,
-                                     vadd, vdot, vneg)
+                                     vadd, vdot, vneg, vsub)
 
 
 def sympy_rank(rows) -> int:
@@ -177,7 +179,7 @@ def walk_search(target, gens, weight, inside, depth_bound):
     """``AffineSemigroup._search`` as it was before its last level was closed.
 
     The same recursive subtraction search with the same generator order and
-    the same depth-blind ``failed`` memo, except that the state
+    the depth-blind ``failed`` memo it had then, except that the state
     max_idx == 0 walks v - j * gens[0] one summand at a time.  Install it
     with ``staticmethod`` in place of ``_search`` to get its decisions.
     """
@@ -581,6 +583,124 @@ def decomposition_mismatch(generators, normals, bound):
             if (x in members) != in_all:
                 return x
     return None
+
+
+# -- cone answers on the full_embedding() copy ---------------------------------
+#
+# How each cone answer of an AffineSemigroup was computed before the
+# semigroup kept one double-description pass: pointedness and the pointed
+# membership search through cone_facets on the embedded generators, normality
+# through hilbert_basis and membership on the full_embedding() copy, facets
+# through cone_facets on the cone of S, and the regularity report through the
+# facets of the copy.  Each public function runs its own pass.
+
+def embedded_pointed_data(s):
+    """(embedded generators, inner normals, their sum), or None with a line."""
+    emb_gens = [s.group.coordinates(g) for g in s.generators]
+    normals = [f.inner_normal for f in cone_facets(Cone(tuple(emb_gens), s.rank))]
+    if linalg.int_rank(normals) < s.rank:
+        return None
+    return emb_gens, normals, tuple(map(sum, zip(*normals)))
+
+
+def embedded_is_pointed(s):
+    return s.is_trivial() or s.positive or embedded_pointed_data(s) is not None
+
+
+def embedded_membership(s, x):
+    """A complete membership decision on a pointed, non-positive S."""
+    if is_zero(x):
+        return Membership(True, (), True)
+    emb_gens, normals, w = embedded_pointed_data(s)
+    target = s.group.coordinates(x)
+    if target is None:
+        return Membership(False, None, True)
+    return AffineSemigroup._search(target, emb_gens, lambda v: vdot(w, v),
+                                   lambda v: all(vdot(n, v) >= 0 for n in normals), None)
+
+
+def embedded_normality(s):
+    if s.is_trivial() or s.rank == 0:
+        return NormalityCertificate(True, (), None, None)
+    check_cone_limits(len({primitive(g) for g in s.generators}), s.rank)
+    emb = s.full_embedding()
+    s_emb = emb.semigroup
+    try:
+        hb = hilbert_basis(s_emb.cone, Sublattice.standard(emb.rank))
+    except SizeLimitError:
+        raise
+    except PreconditionError as exc:
+        raise PreconditionError(
+            f"normality needs a pointed cone: {exc}", certificate=exc.certificate)
+    in_ambient = tuple(map(emb.to_ambient, hb))
+    for h in hb:
+        if not s_emb.contains(h):
+            p = 2
+            while not s_emb.contains(tuple(p * c for c in h)):
+                p += 1
+            return NormalityCertificate(False, in_ambient, emb.to_ambient(h), p)
+    return NormalityCertificate(True, in_ambient, None, None)
+
+
+def embedded_facets(s):
+    if not s.is_full():
+        raise PreconditionError(
+            "facets in ambient coordinates need a full semigroup; use full_embedding() first",
+            certificate=s.rank)
+    return cone_facets(s.cone)
+
+
+def embedded_regularity_report(s):
+    if not s.positive and not s.is_trivial():
+        raise PreconditionError("regularity report needs a positive semigroup")
+    cert = embedded_normality(s)
+    if not cert.normal:
+        return RegularityReport(False, (cert.witness_g, cert.witness_p), "inapplicable",
+                                "inapplicable", None, False, False, True, s.rank)
+    emb = s.full_embedding()
+    r = emb.rank
+    if r == 0:
+        return RegularityReport(True, None, "yes", "yes", (0,) * s.ambient_dim,
+                                True, True, True, 0)
+    normals = [f.inner_normal for f in cone_facets(emb.semigroup.cone)]
+    c = linalg.solve_integer(normals, [1] * len(normals))
+    hb = [emb.to_coordinates(h) for h in cert.saturation_hilbert_basis]
+    regular = len(hb) == r and abs(linalg.det_int(hb)) == 1
+    return RegularityReport(True, None, "yes", "no" if c is None else "yes",
+                            None if c is None else emb.to_ambient(c), regular, True, True, r)
+
+
+def checked_standard_word(sg, s):
+    """``StrSemigroup.standard_word`` with the checks it ran on every peel.
+
+    Each support must be an ideal, each remainder nonnegative, and the
+    peeling must end at zero; a failure raises VerificationError.
+    """
+    if not sg.contains(s):
+        raise PreconditionError(f"{list(s)} is not in the lattice semigroup", certificate=s)
+    irr = sg.birkhoff.irreducibles
+    position = {p: i for i, p in enumerate(irr, 1)}
+    reversed_chain = []
+    cur = tuple(s)
+    while cur[0] > 0:
+        element = sg.birkhoff.element_of.get(
+            frozenset(p for p in irr if cur[position[p]] != 0))
+        if element is None:
+            raise VerificationError(f"support of {list(cur)} is not an ideal")
+        reversed_chain.append(element)
+        cur = vsub(cur, sg.vector_of[element])
+        if any(x < 0 for x in cur):
+            raise VerificationError("peeling left the semigroup")
+    if any(cur):
+        raise VerificationError("peeling terminated off zero")
+    return StandardWord(tuple(reversed(reversed_chain)))
+
+
+def bounded_brute_membership(generators, x, bound):
+    """Whether some multiset of at most ``bound`` generators sums to x."""
+    return any(tuple(map(sum, zip(*combo))) == tuple(x)
+               for k in range(1, bound + 1)
+               for combo in itertools.combinations_with_replacement(generators, k))
 
 
 def standard_chains_with_sum(lattice, vector_of, target):

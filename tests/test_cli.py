@@ -345,13 +345,13 @@ def test_lattice_commands_reuse_the_straightening_semigroup(capsys, monkeypatch)
     # the model keeps one straightening semigroup per lattice, so a second
     # lattice report on it repeats no facet search and prints the same bytes
     calls = []
-    real = lattice_geometry.cone_facets
+    real = lattice_geometry._double_description
 
-    def counting(cone):
-        calls.append(cone)
-        return real(cone)
+    def counting(rays, d):
+        calls.append(rays)
+        return real(rays, d)
 
-    monkeypatch.setattr(semigroups, "cone_facets", counting)
+    monkeypatch.setattr(semigroups, "_double_description", counting)
     monkeypatch.setattr(cli, "_model", None)
     argv = ["lattice", "D", "--cocycle", "tri3"]
     first = run(capsys, argv)
@@ -362,6 +362,36 @@ def test_lattice_commands_reuse_the_straightening_semigroup(capsys, monkeypatch)
     assert calls == []
     _, model = cli._read_model(MODEL)
     assert model.straightening("D") is model.straightening("D")
+
+
+def test_each_semigroup_runs_one_cone_pass(capsys, monkeypatch, tmp_path):
+    # pointedness, normality, facets, the regularity report and decompose all
+    # read one double-description pass per semigroup, refusals included: A1,
+    # a unimodular image of A1 (pointed, not positive), a non-full semigroup
+    # and the cone over a square
+    path = tmp_path / "cones.model"
+    path.write_text("semigroup A1 gens=[[1,0],[1,1],[1,2]]\n"
+                    "semigroup U1 gens=[[1,0],[-2,1],[-5,2]]\n"
+                    "semigroup P2h gens=[[2,0],[1,1],[0,2]]\n"
+                    "semigroup S4 gens=[[1,0,0,0],[1,1,0,0],[1,0,1,0],[1,0,0,1],[1,1,1,1]]\n"
+                    "bound 3\n", encoding="utf-8")
+    passes = []
+    real = lattice_geometry._double_description
+
+    def counting(rays, d):
+        passes.append(rays)
+        return real(rays, d)
+
+    monkeypatch.setattr(lattice_geometry, "_double_description", counting)
+    monkeypatch.setattr(semigroups, "_double_description", counting)
+    monkeypatch.setattr(cli, "_model", None)
+    commands = ["analyze", "normal", "facets", "regularity", "decompose"]
+    expected = {"A1": [0, 0, 0, 0, 0], "U1": [0, 0, 0, 3, 3], "P2h": [0, 0, 3, 0, 3],
+                "S4": [0, 0, 0, 0, 0]}
+    for name, codes in expected.items():
+        passes.clear()
+        assert [run(capsys, [c, name], model=str(path))[0] for c in commands] == codes
+        assert len(passes) == 1, (name, passes)
 
 
 def test_invalid_utf8_model_exits_3(capsys, tmp_path):

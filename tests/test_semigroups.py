@@ -8,15 +8,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 
 from qtoric import (AffineSemigroup, Cone, DimensionError, Facet, FacetSemigroup,
-                    Membership, NotNormalError, PreconditionError, SizeLimitError,
-                    Sublattice, VerificationError, decompose, elements_by_degree,
+                    Membership, NotNormalError, PreconditionError, QtoricError, SizeLimitError,
+                    Sublattice, VerificationError, cone_facets, decompose, elements_by_degree,
                     facet_subsemigroup, hilbert_basis, hilbert_function,
                     lattice_geometry, linalg, load_model, regularity_report,
                     semigroups)
 from qtoric.lattice_geometry import vdot
 
-from .oracles import (all_posets_up_to, brute_members_by_degree, brute_membership,
-                      brute_normality_witness, decomposition_mismatch,
+from .oracles import (all_posets_up_to, bounded_brute_membership, brute_members_by_degree,
+                      brute_membership, brute_normality_witness, decomposition_mismatch,
+                      embedded_facets, embedded_is_pointed, embedded_membership,
+                      embedded_normality, embedded_regularity_report,
                       facet_presentation_mismatch, gorenstein_candidate_works,
                       h_star_is_palindromic, walk_search)
 from .test_lattice_geometry import small_cones
@@ -127,9 +129,18 @@ def test_membership_matches_brute_force(a1, nonnorm_gap, nonnorm_half):
 def _random_semigroup(rng, kind, dim):
     """Generators of a seeded semigroup in Z^dim: positive, pointed but not
     positive (a unimodular image of a positive one; in dimension 1 its
-    negative), or with a line (some g together with -g)."""
+    negative), non-full (a positive one with its first coordinate doubled or,
+    in dimension 2 or more, copied into the last; sometimes sheared so that
+    it is not positive), or with a line (some g together with -g)."""
     gens = [tuple(rng.randint(0, 4) for _ in range(dim)) for _ in range(rng.randint(1, 4))]
-    if kind == "pointed" and dim == 1:
+    if kind == "nonfull":
+        if dim == 1 or rng.random() < 0.5:
+            gens = [(2 * g[0],) + g[1:] for g in gens]
+        else:
+            gens = [g[:-1] + (g[0],) for g in gens]
+        if dim > 1 and rng.random() < 0.5:
+            gens = [(g[0] - g[1],) + g[1:] for g in gens]
+    elif kind == "pointed" and dim == 1:
         gens = [(-g[0],) for g in gens]
     elif kind == "pointed":
         i, j = rng.sample(range(dim), 2)
@@ -186,6 +197,77 @@ def test_bounded_search_finds_the_witness_the_walk_missed():
     gens, x = [(-2,), (3,), (1,)], (-5,)
     assert _walk_answers(gens, [(x, 4)]) == [Membership(False, None, False, 4)]
     assert AffineSemigroup(gens).membership(x, bound=4) == Membership(True, (0, 0, 0, 2), True, 4)
+
+
+def test_bounded_search_matches_brute_force_on_lines():
+    # the failure memo keeps the most summands a state failed with, so a
+    # bounded search finds every member with a witness within the bound; a
+    # depth-blind memo answered (False, None, False, 4) on the first query
+    s = AffineSemigroup([(-2,), (2,), (-3,), (-1,)])
+    assert s.membership((5,), bound=4) == Membership(True, (1, 1, 1, 3), True, 4)
+    values = [v for v in range(-3, 4) if v]
+    for k in (2, 3, 4):
+        for gens in itertools.permutations(values, k):
+            if min(gens) > 0 or max(gens) < 0:
+                continue
+            s = AffineSemigroup([(g,) for g in gens])
+            for bound in range(1, 5):
+                for x in range(-6, 7):
+                    got = s.membership((x,), bound=bound)
+                    if got.member:
+                        assert len(got.witness) <= bound
+                        assert sum(gens[i] for i in got.witness) == x
+                    else:
+                        assert not bounded_brute_membership([(g,) for g in gens], (x,), bound), \
+                            (gens, x, bound)
+
+
+def _outcome(fn):
+    """What a call returns, or the type, message and certificate of its refusal."""
+    try:
+        return fn()
+    except QtoricError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "certificate", None)
+
+
+def test_cone_answers_match_the_embedded_copy():
+    # each cone answer reads the semigroup's one pass; the oracle recomputes
+    # it the way it was, on the full_embedding() copy with the public
+    # per-call cone_facets and hilbert_basis, each running its own pass
+    rng = random.Random(24)
+    cases = [[(1, 0), (1, 300001), (0, 1)],  # the parallelepiped budget
+             [tuple(int(j <= i) for j in range(8)) for i in range(8)],  # dimension 8
+             [(1, k) for k in range(21)], [(-1, 1)] * 21 + [(-2, 2)]]  # over 20 generators
+    done = {"positive": 0, "pointed": 0, "nonfull": 0, "line": 0}
+    while min(done.values()) < 40:
+        kind = rng.choice(sorted(done))
+        gens = _random_semigroup(rng, kind, rng.randint(1, 3))
+        if gens:
+            cases.append(gens)
+            done[kind] += 1
+    for gens in cases:
+        s = AffineSemigroup(gens)
+        assert _outcome(s.is_pointed) == _outcome(lambda: embedded_is_pointed(s)), gens
+        cert = _outcome(s.normality)
+        assert cert == _outcome(lambda: embedded_normality(s)), gens
+        assert _outcome(s.facets) == _outcome(lambda: embedded_facets(s)), gens
+        assert _outcome(lambda: regularity_report(s)) == \
+            _outcome(lambda: embedded_regularity_report(s)), gens
+        if s.positive and s.is_full() and getattr(cert, "normal", False):
+            assert decompose(s, 4).facet_semigroups == tuple(
+                facet_subsemigroup(s, f) for f in cone_facets(s.cone)), gens
+        if not s.positive and _outcome(s.is_pointed) is True:
+            dim = s.ambient_dim
+            for _ in range(10):
+                x = tuple(rng.randint(-8, 8) for _ in range(dim))
+                assert s.membership(x) == embedded_membership(s, x), (gens, x)
+    # the one change: the copy of this S has positive coordinates, so its
+    # search skipped the generator limit of the pointed search, which S's
+    # own membership test, like is_pointed, charges
+    s = AffineSemigroup([(1, -1)] * 21 + [(2, -2)])
+    assert embedded_normality(s).normal
+    refusal = ("SizeLimitError", "22 generators exceed the supported limit of 20", None)
+    assert _outcome(s.normality) == _outcome(s.is_pointed) == refusal
 
 
 def test_numerical_membership_at_ten_thousand_is_fast():
@@ -292,7 +374,7 @@ def test_normality_size_refusal_passes_through_and_is_cached(monkeypatch):
     def enumerate_again(*args, **kwargs):
         raise AssertionError("the refusal was not kept")
 
-    monkeypatch.setattr(semigroups, "hilbert_basis", enumerate_again)
+    monkeypatch.setattr(semigroups, "_hilbert_basis_of_pass", enumerate_again)
     with pytest.raises(SizeLimitError) as again:
         s.normality()
     assert again.value is exc.value
@@ -301,10 +383,11 @@ def test_normality_size_refusal_passes_through_and_is_cached(monkeypatch):
 
 
 def test_cone_limits_are_checked_before_the_embedding(monkeypatch):
+    # the cone pass, in coordinates of G(S), is the work the limits bound
     built = []
-    full_embedding = AffineSemigroup.full_embedding
-    monkeypatch.setattr(AffineSemigroup, "full_embedding",
-                        lambda self: built.append(self) or full_embedding(self))
+    real = semigroups._double_description
+    monkeypatch.setattr(semigroups, "_double_description",
+                        lambda rays, d: built.append(rays) or real(rays, d))
     # the Hibi semigroup of an 8-element chain: rank 8, 8 rays
     chain = AffineSemigroup([tuple(int(j <= i) for j in range(8)) for i in range(8)])
     with pytest.raises(SizeLimitError) as exc:
@@ -509,13 +592,13 @@ def test_regularity_orthant(n2):
 def test_second_regularity_report_runs_no_facet_search(rays13, monkeypatch):
     calls = []
 
-    def counting(cone):
-        calls.append(cone)
-        return real(cone)
+    def counting(rays, d):
+        calls.append(rays)
+        return real(rays, d)
 
-    real = lattice_geometry.cone_facets
-    monkeypatch.setattr(semigroups, "cone_facets", counting)
-    monkeypatch.setattr(lattice_geometry, "cone_facets", counting)
+    real = lattice_geometry._double_description
+    monkeypatch.setattr(semigroups, "_double_description", counting)
+    monkeypatch.setattr(lattice_geometry, "_double_description", counting)
     first = regularity_report(rays13)
     assert calls
     calls.clear()
