@@ -411,10 +411,9 @@ class LatticeAlgebraReport:
 
 
 def lattice_algebra_report(lattice: DistLattice, cocycle: Cocycle) -> LatticeAlgebraReport:
-    """Full pipeline: embed, verify, assert normality, and profile regularity.
+    """Full pipeline: embed, verify, and profile regularity.
 
-    Lattice semigroups are always normal and full, hence maximal orders; a
-    failure of those assertions indicates a bug, not bad input.
+    Lattice semigroups are always normal and full, hence maximal orders.
     """
     return algebra_report(straightening_semigroup(lattice), cocycle)
 
@@ -426,12 +425,14 @@ def algebra_report(sg: StrSemigroup, cocycle: Cocycle) -> LatticeAlgebraReport:
     so a second report on it repeats no cone computation.  It is full: with
     p_1..p_n in linear-extension order, v(p_k) - v(min) is e_k plus some e_i
     with i < k, unitriangular, and with v(min) = e_0 these generate Z^(n+1).
+    It is normal, so the report needs no check: its generators (1, chi_I),
+    chi_I the indicator of a down-set I, are the lattice points of
+    {1} x the order polytope, and the semigroup they generate is the Hibi
+    ring's, which is normal (Hibi, "Distributive lattices, affine semigroup
+    rings and algebras with straightening laws", 1987).
     """
     if cocycle.dim != sg.ambient_dim:
         raise PreconditionError(
             f"cocycle dimension {cocycle.dim} does not match rank+1 = {sg.ambient_dim}")
-    report = regularity_report(sg.semigroup)
-    if not report.normal or not report.maximal_order:
-        raise VerificationError("lattice semigroup failed to be normal")
-    algebra = TwistedAlgebra(sg.semigroup, cocycle)
-    return LatticeAlgebraReport(sg, report, algebra)
+    return LatticeAlgebraReport(sg, regularity_report(sg.semigroup),
+                                TwistedAlgebra(sg.semigroup, cocycle))

@@ -7,13 +7,14 @@ method revisited", 1996); Hilbert bases via integer-only enumeration of the
 parallelepiped points of that triangulation's simplices plus reduction in
 degree order (Bruns & Ichim, "Normaliz: algorithms for affine monoids and
 rational cones", J. Algebra 324 (2010)).  Each answer is exact and complete,
-not checked on a box.  Inputs beyond the declared desk-scale limits are
-refused before the work starts.
+not checked on a box.  ``ConePass`` owns that pass: it alone charges the
+desk-scale limits, before the work starts, and tests for a line.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from math import gcd, prod
 from operator import mul
 from typing import Iterable, Sequence
@@ -189,14 +190,6 @@ class Facet:
     incident: frozenset[int]
 
 
-def check_cone_limits(n_gens: int, dim: int) -> None:
-    if n_gens > MAX_CONE_GENERATORS:
-        raise SizeLimitError(
-            f"{n_gens} generators exceed the supported limit of {MAX_CONE_GENERATORS}")
-    if dim > MAX_CONE_DIM:
-        raise SizeLimitError(f"dimension {dim} exceeds the supported limit of {MAX_CONE_DIM}")
-
-
 def _double_description(rays: Sequence[IntVec], d: int
                         ) -> tuple[list[tuple[IntVec, int]], list[tuple[int, ...]]]:
     """Facets and a placing triangulation of the full cone over distinct primitive rays.
@@ -282,33 +275,6 @@ def _double_description(rays: Sequence[IntVec], d: int
     return facets, simplices
 
 
-def cone_facets(cone: Cone) -> list[Facet]:
-    """All facets of a full-dimensional cone, sorted by inner normal.
-
-    The normals come from one double-description pass over the distinct
-    primitive rays, in order of first occurrence (``_double_description``);
-    each facet's incident set is then read off the final normal against
-    every nonzero generator.  Exact and complete; the cone may contain a
-    line.  Each call runs its own pass; ``AffineSemigroup.facets`` reads the
-    pass its semigroup keeps.
-    """
-    gens = [g for g in cone.generators if not is_zero(g)]
-    d = cone.ambient_dim
-    check_cone_limits(len(gens), d)
-    if linalg.int_rank(gens) != d:
-        raise PreconditionError(
-            f"cone is not full-dimensional (rank {linalg.int_rank(gens)} < {d}); "
-            "restrict to the span via lattice_of first")
-    facets, _ = _double_description(list(dict.fromkeys(primitive(g) for g in gens)), d)
-    return _incident_facets(facets, gens)
-
-
-def _incident_facets(facets: Sequence[tuple[IntVec, int]], gens: Sequence[IntVec]) -> list[Facet]:
-    """The facets of a pass, sorted by inner normal, each with its incident generators."""
-    return [Facet(n, frozenset(i for i, g in enumerate(gens) if vdot(n, g) == 0))
-            for n in sorted(n for n, _ in facets)]
-
-
 def _parallelepiped_points(rays: Sequence[IntVec]) -> list[IntVec]:
     """All lattice points of {sum lam_i * ray_i : 0 <= lam_i < 1}, rays independent.
 
@@ -337,28 +303,129 @@ def _parallelepiped_points(rays: Sequence[IntVec]) -> list[IntVec]:
     return [tuple(sum(map(mul, row, u)) // size for row in m) for u in residues]
 
 
-def hilbert_basis(cone: Cone, lattice: Sublattice,
-                  max_points: int = MAX_PARALLELEPIPED_POINTS) -> list[IntVec]:
-    """Unique minimal generating set of the semigroup cone ∩ lattice.
+class ConePass:
+    """The one double-description pass over a full-dimensional cone in Z^d.
+
+    The rays are the distinct primitive forms of the ``vectors``, which must
+    be nonzero, in order of first occurrence.  Their number is charged against
+    ``MAX_CONE_GENERATORS`` and d against ``MAX_CONE_DIM`` before any work,
+    and a rank below d is refused.  Then ``_double_description`` gives the
+    ``facets`` as (primitive inner normal, incidence bitmask over the rays),
+    sorted by normal, with ``normals`` in the same order, and the
+    ``simplices`` of a placing triangulation.  ``line`` is computed on first
+    read.
+    """
+
+    def __init__(self, vectors: Iterable[Sequence[int]], d: int):
+        self.rays = list(dict.fromkeys(primitive(v) for v in vectors))
+        if len(self.rays) > MAX_CONE_GENERATORS:
+            raise SizeLimitError(f"{len(self.rays)} generators exceed the supported limit "
+                                 f"of {MAX_CONE_GENERATORS}")
+        if d > MAX_CONE_DIM:
+            raise SizeLimitError(f"dimension {d} exceeds the supported limit of {MAX_CONE_DIM}")
+        rank = linalg.int_rank(self.rays)
+        if rank != d:
+            raise PreconditionError(f"cone is not full-dimensional (rank {rank} < {d}); "
+                                    "restrict to the span via lattice_of first")
+        self.d = d
+        facets, self.simplices = _double_description(self.rays, d)
+        self.facets = sorted(facets)
+        self.normals = [n for n, _ in self.facets]
+
+    @cached_property
+    def line(self) -> IntVec | None:
+        """A nonzero v with v and -v in the cone, or None when the cone is pointed.
+
+        The cone is pointed iff its inner normals span R^d.  Otherwise a
+        kernel vector of the normals pairs to 0 with each of them, so it and
+        its negative satisfy every facet inequality.
+        """
+        if linalg.int_rank(self.normals) == self.d:
+            return None
+        return linalg.kernel_basis(self.normals, self.d)[0]
+
+    def hilbert_basis(self) -> list[IntVec]:
+        """The Hilbert basis of a pointed cone ∩ Z^d, in the rays' coordinates.
+
+        Candidates are the rays plus the lattice points inside the
+        fundamental parallelepiped of each simplex: an irreducible element
+        lies in some simplex, and there it is a ray or a parallelepiped
+        point.  They are reduced in the order of the degree <w, x>, w the sum
+        of the inner facet normals: x is reducible iff its facet heights
+        dominate those of a basis element already found (Bruns & Ichim
+        2010).  The sum of |det| over the simplices, which is their number of
+        parallelepiped points, is charged against ``MAX_PARALLELEPIPED_POINTS``
+        before any point is enumerated, and a refusal names the limit and the
+        sum that exceeded it.
+        """
+        rays, normals, d = self.rays, self.normals, self.d
+        total = 0
+        dets = []
+        for simplex in self.simplices:
+            det = abs(linalg.det_int([rays[i] for i in simplex]))
+            total += det
+            if total > MAX_PARALLELEPIPED_POINTS:
+                raise SizeLimitError(
+                    f"parallelepiped enumeration exceeds {MAX_PARALLELEPIPED_POINTS} points; "
+                    "instance is beyond the supported size (the sum of |det| over the "
+                    f"simplices of the triangulation reached {total})")
+            dets.append(det)
+        candidates = set(rays)
+        for simplex, det in zip(self.simplices, dets):
+            if det > 1:
+                candidates.update(_parallelepiped_points([rays[i] for i in simplex]))
+        candidates.discard(zero_vec(d))
+
+        # Pack the facet heights of x into one integer, one field per facet:
+        # heights(x) = sum_k x_k * column_k is linear, so the packed value is
+        # exact whenever every height fits its field.  A candidate's heights are
+        # below d times the largest ray height; one guard bit per field on top
+        # lets a single subtraction compare all heights at once.
+        width = (d * max(vdot(n, r) for n in normals for r in rays)).bit_length() + 1
+        columns = [sum(n[k] << (width * f) for f, n in enumerate(normals)) for k in range(d)]
+        guard = sum(1 << (width * f + width - 1) for f in range(len(normals)))
+        weight = tuple(sum(n[k] for n in normals) for k in range(d))
+        basis: list[IntVec] = []
+        packed_basis: list[int] = []
+        for x in sorted(candidates, key=lambda x: vdot(weight, x)):
+            top = sum(map(mul, x, columns)) | guard
+            if any((top - hb) & guard == guard for hb in packed_basis):
+                continue
+            basis.append(x)
+            packed_basis.append(top ^ guard)
+        return basis
+
+
+def cone_facets(cone: Cone) -> list[Facet]:
+    """All facets of a full-dimensional cone, sorted by inner normal.
+
+    The normals come from one ``ConePass`` over the nonzero generators; each
+    facet's incident set is then read off the final normal against every
+    nonzero generator.  Exact and complete; the cone may contain a line.
+    Each call runs its own pass; ``AffineSemigroup.facets`` reads the pass
+    its semigroup keeps.
+    """
+    gens = [g for g in cone.generators if not is_zero(g)]
+    return _incident_facets(ConePass(gens, cone.ambient_dim).normals, gens)
+
+
+def _incident_facets(normals: Sequence[IntVec], gens: Sequence[IntVec]) -> list[Facet]:
+    """One Facet per inner normal, with the indices of the generators on it."""
+    return [Facet(n, frozenset(i for i, g in enumerate(gens) if vdot(n, g) == 0))
+            for n in normals]
+
+
+def hilbert_basis(cone: Cone, lattice: Sublattice) -> list[IntVec]:
+    """Unique minimal generating set of the semigroup cone ∩ lattice, sorted.
 
     The cone must be pointed and full-dimensional within the lattice's span.
-    One double-description pass over the distinct primitive rays, in order
-    of first occurrence, gives the facets and a placing triangulation of the
-    cone into simplicial cones (``_double_description``).  Candidates are the
-    rays plus the lattice points inside the fundamental parallelepiped of
-    each simplex of that triangulation: an irreducible element lies in some
-    simplex, and there it is a ray or a parallelepiped point.  They are
-    reduced in the order of the degree <w, x>, w the sum of the inner facet
-    normals: x is reducible iff its facet heights dominate those of a basis
-    element already found (Bruns & Ichim 2010).  The result is exact and
-    complete.  ``max_points`` caps the enumeration: the sum of |det| over the
-    simplices, which is their number of parallelepiped points, is charged
-    before any point is enumerated, and a refusal names the limit and the sum
-    that exceeded it.  Each call runs its own pass; ``normality`` reads the
-    pass its semigroup keeps, over the same rays in the same order.
+    The nonzero generators, in coordinates of the lattice, go through one
+    ``ConePass``, which charges the size limits and the parallelepiped budget
+    (``ConePass.hilbert_basis``).  Exact and complete.  Each call runs its
+    own pass; ``normality`` reads the pass its semigroup keeps, over the same
+    rays in the same order.
     """
-    d = lattice.rank
-    rays: list[IntVec] = []
+    coords: list[IntVec] = []
     for g in cone.generators:
         if is_zero(g):
             continue
@@ -366,61 +433,11 @@ def hilbert_basis(cone: Cone, lattice: Sublattice,
         if ray is None:
             raise PreconditionError(
                 f"cone generator {g} lies outside the lattice span", certificate=g)
-        if ray not in rays:
-            rays.append(ray)
-    if not rays:
+        coords.append(ray)
+    if not coords:
         return []
-    check_cone_limits(len(rays), d)
-    if linalg.int_rank(rays) != d:
+    cone_pass = ConePass(coords, lattice.rank)
+    if cone_pass.line is not None:
         raise PreconditionError(
-            "cone is not full-dimensional in the lattice span "
-            f"(rank {linalg.int_rank(rays)} < {d})")
-    facets, simplices = _double_description(rays, d)
-    normals = sorted(n for n, _ in facets)
-    if linalg.int_rank(normals) < d:
-        line = linalg.kernel_basis(normals, d)[0]
-        raise PreconditionError(
-            "cone contains a line", certificate=lattice.from_coordinates(line))
-    return sorted(lattice.from_coordinates(x)
-                  for x in _hilbert_basis_of_pass(rays, normals, simplices, max_points))
-
-
-def _hilbert_basis_of_pass(rays: Sequence[IntVec], normals: Sequence[IntVec],
-                           simplices: Sequence[tuple[int, ...]], max_points: int) -> list[IntVec]:
-    """``hilbert_basis`` from the pass of a pointed cone, in the rays' coordinates."""
-    d = len(rays[0])
-    total = 0
-    dets = []
-    for simplex in simplices:
-        det = abs(linalg.det_int([rays[i] for i in simplex]))
-        total += det
-        if total > max_points:
-            raise SizeLimitError(
-                f"parallelepiped enumeration exceeds {max_points} points; "
-                "instance is beyond the supported size (the sum of |det| over the "
-                f"simplices of the triangulation reached {total})")
-        dets.append(det)
-    candidates = set(rays)
-    for simplex, det in zip(simplices, dets):
-        if det > 1:
-            candidates.update(_parallelepiped_points([rays[i] for i in simplex]))
-    candidates.discard(zero_vec(d))
-
-    # Pack the facet heights of x into one integer, one field per facet:
-    # heights(x) = sum_k x_k * column_k is linear, so the packed value is
-    # exact whenever every height fits its field.  A candidate's heights are
-    # below d times the largest ray height; one guard bit per field on top
-    # lets a single subtraction compare all heights at once.
-    width = (d * max(vdot(n, r) for n in normals for r in rays)).bit_length() + 1
-    columns = [sum(n[k] << (width * f) for f, n in enumerate(normals)) for k in range(d)]
-    guard = sum(1 << (width * f + width - 1) for f in range(len(normals)))
-    weight = tuple(sum(n[k] for n in normals) for k in range(d))
-    basis: list[IntVec] = []
-    packed_basis: list[int] = []
-    for x in sorted(candidates, key=lambda x: vdot(weight, x)):
-        top = sum(map(mul, x, columns)) | guard
-        if any((top - hb) & guard == guard for hb in packed_basis):
-            continue
-        basis.append(x)
-        packed_basis.append(top ^ guard)
-    return basis
+            "cone contains a line", certificate=lattice.from_coordinates(cone_pass.line))
+    return sorted(map(lattice.from_coordinates, cone_pass.hilbert_basis()))

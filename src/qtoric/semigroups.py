@@ -17,11 +17,8 @@ from typing import Sequence
 from . import linalg
 from .errors import (DimensionError, NotNormalError, PreconditionError,
                      SizeLimitError, VerificationError)
-from .lattice_geometry import (MAX_PARALLELEPIPED_POINTS, Cone, Facet, IntVec,
-                               Sublattice, _double_description,
-                               _hilbert_basis_of_pass, _incident_facets, as_vec,
-                               check_cone_limits, is_zero, lattice_of, primitive,
-                               vadd, vdot, vsub, zero_vec)
+from .lattice_geometry import (Cone, ConePass, Facet, IntVec, Sublattice, _incident_facets,
+                               as_vec, is_zero, lattice_of, vadd, vdot, vsub, zero_vec)
 
 # hilbert_function enumerates every member up to its degree N; in dimension d
 # there are at most C(N + d, d) of them (the nonnegative vectors of coordinate
@@ -71,7 +68,6 @@ class AffineSemigroup:
         self.cone = Cone(gens if gens else (zero_vec(self.ambient_dim),), self.ambient_dim)
         self.positive = bool(gens) and all(all(x >= 0 for x in g) for g in gens)
         self._member_cache: dict[IntVec, Membership] = {}
-        self._cone_pass = None
         self._normality_cache: NormalityCertificate | None = None
         self._normality_refusal: SizeLimitError | None = None
         self._embedding: FullEmbedding | None = None
@@ -93,17 +89,11 @@ class AffineSemigroup:
         gens = ",".join(str(list(g)) for g in self.generators)
         return f"AffineSemigroup([{gens}], dim={self.ambient_dim})"
 
-    def _cone(self):
-        """(rays, facets sorted by normal, simplices): the one ``_double_description``
-        pass over the generators' distinct primitive coordinates in G(S), in order
-        of first occurrence.  Callers charge their size limits first.
-        """
-        if self._cone_pass is None:
-            rays = list(dict.fromkeys(primitive(self.group.coordinates(g))
-                                      for g in self.generators))
-            facets, simplices = _double_description(rays, self.rank)
-            self._cone_pass = (rays, sorted(facets), simplices)
-        return self._cone_pass
+    @cached_property
+    def _cone(self) -> ConePass:
+        """The one cone pass over the generators' coordinates in G(S), which span it;
+        ``ConePass`` charges the size limits on its distinct rays before the work."""
+        return ConePass([self.group.coordinates(g) for g in self.generators], self.rank)
 
     @cached_property
     def _pointed(self):
@@ -112,10 +102,9 @@ class AffineSemigroup:
         The sum is strictly positive on every nonzero cone element, so the
         membership search terminates even without coordinate positivity.
         """
-        check_cone_limits(len(self.generators), self.rank)
-        normals = [n for n, _ in self._cone()[1]]
-        if linalg.int_rank(normals) < self.rank:
+        if self._cone.line is not None:
             return None
+        normals = self._cone.normals
         w = tuple(map(sum, zip(*normals)))
         return [self.group.coordinates(g) for g in self.generators], normals, w
 
@@ -247,8 +236,9 @@ class AffineSemigroup:
 
         S is normal iff every Hilbert-basis element of (cone ∩ group) belongs
         to S.  On failure the certificate carries g in the group with g not in
-        S but p*g in S.  A ``SizeLimitError`` of the Hilbert-basis step passes
-        through and is kept, so a repeated call refuses at once.
+        S but p*g in S.  A cone with a line is refused with a certificate v in
+        Z^(n+1), v and -v in the cone.  A ``SizeLimitError`` of the cone pass
+        passes through and is kept, so a repeated call refuses at once.
         """
         if self._normality_refusal is not None:
             raise self._normality_refusal
@@ -260,16 +250,12 @@ class AffineSemigroup:
         if self.is_trivial() or self.rank == 0:
             return NormalityCertificate(True, (), None, None)
         try:
-            # the Hilbert-basis limits on its count of rays, before the pass
-            check_cone_limits(len({primitive(g) for g in self.generators}), self.rank)
-            rays, facets, simplices = self._cone()
-            normals = [n for n, _ in facets]
-            if linalg.int_rank(normals) < self.rank:
+            cone = self._cone
+            if cone.line is not None:
                 raise PreconditionError(
                     "normality needs a pointed cone: cone contains a line",
-                    certificate=linalg.kernel_basis(normals, self.rank)[0])
-            hb = tuple(map(self.group.from_coordinates, sorted(_hilbert_basis_of_pass(
-                rays, normals, simplices, MAX_PARALLELEPIPED_POINTS))))
+                    certificate=self.group.from_coordinates(cone.line))
+            hb = tuple(map(self.group.from_coordinates, sorted(cone.hilbert_basis())))
         except SizeLimitError as exc:
             # a size refusal is final for this semigroup: keep it
             self._normality_refusal = exc
@@ -302,8 +288,7 @@ class AffineSemigroup:
                 "use full_embedding() first",
                 certificate=self.rank)
         # the Hermite basis of G(S) = Z^d is the identity: the pass is ambient
-        check_cone_limits(len(self.generators), self.ambient_dim)
-        return _incident_facets(self._cone()[1], self.generators)
+        return _incident_facets(self._cone.normals, self.generators)
 
 
 @dataclass(frozen=True)
@@ -477,6 +462,11 @@ def regularity_report(semigroup: AffineSemigroup) -> RegularityReport:
     normal (solved exactly over Z).  Regular: the Hilbert basis is a lattice
     basis.  Maximal order <=> normal.  A balanced dualizing complex always
     exists.  Non-normal input gets "inapplicable" for the classical criteria.
+
+    A regular S is Gorenstein, so no check follows the decision: its Hilbert
+    basis h_1..h_r is a basis of G(S) and spans the cone, which is then
+    simplicial with the dual basis n_1..n_r as its primitive inner normals,
+    and c = h_1 + ... + h_r has <n_i, c> = 1 for every i.
     """
     if not semigroup.positive and not semigroup.is_trivial():
         raise PreconditionError("regularity report needs a positive semigroup")
@@ -488,15 +478,12 @@ def regularity_report(semigroup: AffineSemigroup) -> RegularityReport:
     if r == 0:
         return RegularityReport(True, None, "yes", "yes", zero_vec(semigroup.ambient_dim),
                                 True, True, True, 0)
-    check_cone_limits(len(semigroup.generators), r)  # counts generators, as facets() does
-    normals = [n for n, _ in semigroup._cone()[1]]
+    normals = semigroup._cone.normals
     c = linalg.solve_integer(normals, [1] * len(normals))
     gorenstein = "yes" if c is not None else "no"
     gorenstein_witness = group.from_coordinates(c) if c is not None else None
     hb_emb = [group.coordinates(h) for h in cert.saturation_hilbert_basis]
     regular = len(hb_emb) == r and abs(linalg.det_int(hb_emb)) == 1
-    if regular and gorenstein != "yes":
-        raise VerificationError("regular semigroup failed the Gorenstein criterion")
     return RegularityReport(True, None, "yes", gorenstein, gorenstein_witness,
                             regular, True, True, r)
 

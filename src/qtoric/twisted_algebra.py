@@ -206,12 +206,10 @@ class TwistedAlgebra:
         is the cocycle identity, which every closed-form cocycle satisfies
         because its exponent is a bilinear form, and the twisted product
         tau_t(X^s) X^t = alpha(s, t) X^(s+t) is this algebra's product by
-        definition.  Needs a positive affine semigroup domain.
+        definition.  Needs an affine semigroup domain, positive or not.
         """
         if self.domain is None or isinstance(self.domain, FacetSemigroup):
             raise PreconditionError("twisting systems are built over semigroup algebras")
-        if not self.domain.positive and not self.domain.is_trivial():
-            raise PreconditionError("degree enumeration needs a positive semigroup")
         return TwistingSystem(self.cocycle, self.dim)
 
     # -- quantum torus embedding ---------------------------------------------

@@ -16,11 +16,20 @@ from sympy.matrices.normalforms import hermite_normal_form
 from qtoric import (AffineSemigroup, Cone, Membership, ModelParseError,
                     NormalityCertificate, PreconditionError, QtoricError, RegularityReport,
                     Scalar, SizeLimitError, StandardWord, Sublattice, TorusEmbedding,
-                    TwistedAlgebra, TwistedElement, VerificationError, cone_facets,
-                    elements_by_degree, hilbert_basis, linalg)
+                    TwistedAlgebra, TwistedElement, VerificationError, are_cohomologous,
+                    cone_facets, elements_by_degree, hilbert_basis, linalg,
+                    regularity_report)
 from qtoric import model as model_module
-from qtoric.lattice_geometry import (Facet, check_cone_limits, is_zero, primitive,
-                                     vadd, vdot, vneg, vsub)
+from qtoric.lattice_algebras import algebra_report
+from qtoric.lattice_geometry import Facet, is_zero, primitive, vadd, vdot, vneg, vsub
+
+
+def check_cone_limits(n_gens, dim):
+    """The cone limits as every caller charged them before ``ConePass`` did."""
+    if n_gens > 20:
+        raise SizeLimitError(f"{n_gens} generators exceed the supported limit of 20")
+    if dim > 7:
+        raise SizeLimitError(f"dimension {dim} exceeds the supported limit of 7")
 
 
 def sympy_rank(rows) -> int:
@@ -630,8 +639,8 @@ def embedded_normality(s):
     except SizeLimitError:
         raise
     except PreconditionError as exc:
-        raise PreconditionError(
-            f"normality needs a pointed cone: {exc}", certificate=exc.certificate)
+        raise PreconditionError(f"normality needs a pointed cone: {exc}",
+                                certificate=emb.to_ambient(exc.certificate))
     in_ambient = tuple(map(emb.to_ambient, hb))
     for h in hb:
         if not s_emb.contains(h):
@@ -694,6 +703,45 @@ def checked_standard_word(sg, s):
     if any(cur):
         raise VerificationError("peeling terminated off zero")
     return StandardWord(tuple(reversed(reversed_chain)))
+
+
+def checked_are_cohomologous(alpha, beta, group_basis=None):
+    """``are_cohomologous`` with the check it ran on every witness.
+
+    alpha(xB, yB) == witness(x, y) * beta(xB, yB) on the unit vectors and
+    the vectors 2 e_i - sum_(j != i) e_j of Z^r, in pairs; a failure raises
+    QtoricError.
+    """
+    res = are_cohomologous(alpha, beta, group_basis)
+    if res.cohomologous:
+        dim = alpha.dim
+        basis = group_basis or [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+        r = len(basis)
+        sample = [tuple(int(i == j) for j in range(r)) for i in range(r)] + [
+            tuple(2 if i == j else -1 for j in range(r)) for i in range(r)]
+        through_b = {x: tuple(sum(c * b[k] for c, b in zip(x, basis)) for k in range(dim))
+                     for x in sample}
+        for x, y in itertools.product(sample, repeat=2):
+            if res.witness(x, y) * beta(through_b[x], through_b[y]) != \
+                    alpha(through_b[x], through_b[y]):
+                raise QtoricError("coboundary witness failed verification")
+    return res
+
+
+def checked_regularity_report(s):
+    """``regularity_report`` with its check: a regular S passes the Gorenstein criterion."""
+    report = regularity_report(s)
+    if report.as_regular and report.as_gorenstein != "yes":
+        raise VerificationError("regular semigroup failed the Gorenstein criterion")
+    return report
+
+
+def checked_algebra_report(sg, cocycle):
+    """``algebra_report`` with its check: a lattice semigroup is normal."""
+    report = algebra_report(sg, cocycle)
+    if not report.regularity.normal or not report.regularity.maximal_order:
+        raise VerificationError("lattice semigroup failed to be normal")
+    return report
 
 
 def bounded_brute_membership(generators, x, bound):

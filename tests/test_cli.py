@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qtoric import cli, lattice_geometry, semigroups
+from qtoric import cli, lattice_geometry
 from qtoric.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -351,7 +351,7 @@ def test_lattice_commands_reuse_the_straightening_semigroup(capsys, monkeypatch)
         calls.append(rays)
         return real(rays, d)
 
-    monkeypatch.setattr(semigroups, "_double_description", counting)
+    monkeypatch.setattr(lattice_geometry, "_double_description", counting)
     monkeypatch.setattr(cli, "_model", None)
     argv = ["lattice", "D", "--cocycle", "tri3"]
     first = run(capsys, argv)
@@ -383,7 +383,6 @@ def test_each_semigroup_runs_one_cone_pass(capsys, monkeypatch, tmp_path):
         return real(rays, d)
 
     monkeypatch.setattr(lattice_geometry, "_double_description", counting)
-    monkeypatch.setattr(semigroups, "_double_description", counting)
     monkeypatch.setattr(cli, "_model", None)
     commands = ["analyze", "normal", "facets", "regularity", "decompose"]
     expected = {"A1": [0, 0, 0, 0, 0], "U1": [0, 0, 0, 3, 3], "P2h": [0, 0, 3, 0, 3],
@@ -392,6 +391,20 @@ def test_each_semigroup_runs_one_cone_pass(capsys, monkeypatch, tmp_path):
         passes.clear()
         assert [run(capsys, [c, name], model=str(path))[0] for c in commands] == codes
         assert len(passes) == 1, (name, passes)
+
+
+def test_twist_check_answers_on_a_non_positive_semigroup(capsys, tmp_path):
+    # a unimodular image of A1 is not positive; its twisting system needs no
+    # degree enumeration, so twist-check answers as it does on A1
+    path = tmp_path / "u1.model"
+    path.write_text("semigroup U1 gens=[[1,0],[-2,1],[-5,2]]\n"
+                    "cocycle qplane dim=2 params=[q] bichar:q=[[0,0],[-1,0]]\n"
+                    "bound 3\n", encoding="utf-8")
+    rc, out, err = run(capsys, ["twist-check", "U1", "qplane"], model=str(path))
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[2:] == ["semigroup = U1", "cocycle = qplane",
+                                    "axiom_verified_degree = 3",
+                                    "product_verified_degree = 3", "twisting_system = ok"]
 
 
 def test_invalid_utf8_model_exits_3(capsys, tmp_path):

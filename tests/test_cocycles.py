@@ -10,8 +10,8 @@ from qtoric import (Cocycle, DimensionError, QtoricError, ScalarMonomial,
                     commutation_matrix)
 
 from .conftest import quantum_cocycle, shifted_cocycle, two_parameter_cocycle
-from .oracles import (bilinear_cocycle_value, commutation_skew_mismatch,
-                      scalar_chain_commutation_matrix)
+from .oracles import (bilinear_cocycle_value, checked_are_cohomologous,
+                      commutation_skew_mismatch, scalar_chain_commutation_matrix)
 
 E0, E1 = (1, 0), (0, 1)
 
@@ -258,6 +258,7 @@ def test_cohomology_classes(triv2, upper, lower, shifted, sym2, double2):
     box = list(itertools.product(range(-2, 3), repeat=2))
     for na, nb in itertools.product(cocycles, repeat=2):
         res = are_cohomologous(cocycles[na], cocycles[nb])
+        assert checked_are_cohomologous(cocycles[na], cocycles[nb]) == res
         assert res.cohomologous == (klass[na] == klass[nb])
         if res.cohomologous:
             for s, t in itertools.product(box, repeat=2):
@@ -267,6 +268,35 @@ def test_cohomology_classes(triv2, upper, lower, shifted, sym2, double2):
             u, v = res.distinguishing_pair
             assert (cocycles[na](u, v) / cocycles[na](v, u)
                     != cocycles[nb](u, v) / cocycles[nb](v, u))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.data())
+def test_cohomology_witness_needs_no_sample_check(data):
+    # are_cohomologous no longer re-checks its witness on a sample grid (the
+    # proof is in its docstring); the checking version agrees on cocycle
+    # pairs that differ by a symmetric bicharacter and any coboundaries, on
+    # the standard basis and on drawn bases of rank 1 to dim
+    dim = data.draw(st.integers(1, 4))
+    ints = st.integers(-3, 3)
+    fracs = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    alpha = two_parameter_cocycle(dim, lambda: data.draw(ints), lambda: data.draw(fracs))
+    symmetric = data.draw(st.booleans())
+    bichar = {}
+    for k, p in enumerate(alpha.params):
+        m = [[data.draw(ints) for _ in range(dim)] for _ in range(dim)]
+        if symmetric:
+            m = [[m[i][j] + m[j][i] for j in range(dim)] for i in range(dim)]
+        bichar[p] = [[alpha.bichar[k][i][j] + m[i][j] for j in range(dim)] for i in range(dim)]
+    beta = Cocycle.bicharacter(dim, bichar).with_coboundary(
+        quad={"q": [[data.draw(fracs) for _ in range(dim)] for _ in range(dim)]},
+        lin={"r": [data.draw(fracs) for _ in range(dim)]})
+    vec = st.tuples(*[st.integers(-2, 2)] * dim)
+    basis = data.draw(st.none() | st.lists(vec, min_size=1, max_size=dim))
+    res = are_cohomologous(alpha, beta, basis)
+    assert checked_are_cohomologous(alpha, beta, basis) == res
+    if symmetric:
+        assert res.cohomologous
 
 
 def test_cohomologous_input_validation(upper):

@@ -10,9 +10,11 @@ from qtoric import (Cocycle, DimensionError, DistLattice, PreconditionError,
                     QtoricError, ScalarMonomial, SizeLimitError, StandardWord,
                     TwistedAlgebra, birkhoff, ideal_lattice, lattice_algebra_report,
                     straighten, straightening_semigroup)
+from qtoric.lattice_algebras import algebra_report
 
 from .conftest import M3_COVERS, N5_COVERS, quantum_cocycle, two_parameter_cocycle
-from .oracles import (all_posets_up_to, checked_standard_word, embedding_mismatch,
+from .oracles import (all_posets_up_to, checked_algebra_report, checked_standard_word,
+                      embedding_mismatch,
                       hibi_torus_pairs,
                       join_irreducibles_by_joins, naturally_labeled_posets,
                       product_chain_straighten, scalar_chain_straighten,
@@ -414,18 +416,29 @@ def _grid_poset(rows, cols):
 
 def test_standard_words_need_no_checks():
     # standard_word no longer checks its peels and algebra_report no longer
-    # checks fullness; both hold by the proofs in their docstrings, and the
-    # checking version agrees on every product of up to three lattice elements
+    # checks fullness or normality; all hold by the proofs in their
+    # docstrings, and the checking versions agree: on every product of up to
+    # three lattice elements, and on each report below the size limits (the
+    # 2x4 and 3x3 grids have rank 9)
     posets = [(n, sorted(rel)) for n, rel in all_posets_up_to(4)]
     posets += [_grid_poset(2, 3), _grid_poset(2, 4), _grid_poset(3, 3)]
     assert len(posets) == 28
+    refused = 0
     for n, rel in posets:
         sg = straightening_semigroup(ideal_lattice(n, rel))
         assert sg.semigroup.is_full(), (n, rel)
+        try:
+            report = algebra_report(sg, quantum_cocycle(sg.ambient_dim))
+        except SizeLimitError:
+            refused += 1
+        else:
+            assert checked_algebra_report(
+                sg, quantum_cocycle(sg.ambient_dim)).regularity == report.regularity
         for k in range(4):
             for word in itertools.combinations_with_replacement(range(sg.lattice.size), k):
                 s = sg.vector_of_word(word)
                 assert sg.standard_word(s) == checked_standard_word(sg, s), (n, rel, word)
+    assert refused == 2
 
 
 def test_torus_pairs_of_straightening_semigroups_are_hibis():

@@ -405,12 +405,13 @@ def test_hilbert_basis_generator_outside_lattice_span():
     assert exc.value.certificate == (1, 0)
 
 
-def test_hilbert_basis_point_budget():
+def test_hilbert_basis_point_budget(monkeypatch):
     z2 = Sublattice.standard(2)
     with pytest.raises(SizeLimitError):
         hilbert_basis(Cone(((1, 0), (1, 300001)), 2), z2)
+    monkeypatch.setattr(lattice_geometry, "MAX_PARALLELEPIPED_POINTS", 2)
     with pytest.raises(SizeLimitError):
-        hilbert_basis(Cone(((1, 0), (1, 3)), 2), z2, max_points=2)
+        hilbert_basis(Cone(((1, 0), (1, 3)), 2), z2)
 
 
 def test_hilbert_basis_budget_refusal_enumerates_nothing(monkeypatch):
@@ -420,9 +421,10 @@ def test_hilbert_basis_budget_refusal_enumerates_nothing(monkeypatch):
     calls = []
     monkeypatch.setattr(lattice_geometry, "_parallelepiped_points",
                         lambda rays: calls.append(rays) or [])
+    monkeypatch.setattr(lattice_geometry, "MAX_PARALLELEPIPED_POINTS", 4)
     cone = Cone(((1, 0), (1, 2), (1, 5)), 2)
     with pytest.raises(SizeLimitError) as exc:
-        hilbert_basis(cone, Sublattice.standard(2), max_points=4)
+        hilbert_basis(cone, Sublattice.standard(2))
     assert calls == []
     assert "exceeds 4 points" in str(exc.value)
     assert "reached 5" in str(exc.value)

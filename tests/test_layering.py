@@ -69,3 +69,30 @@ def test_no_function_takes_a_bound_it_only_records():
         assert list(inspect.signature(fn).parameters) == params, fn.__qualname__
     for cls in (FacetSemigroup, RegularityReport):
         assert not [f.name for f in dataclasses.fields(cls) if "bound" in f.name], cls
+
+
+def test_one_cone_pass_owns_the_size_charges():
+    # lattice_geometry.ConePass is the only code that runs the
+    # double-description pass and reads the cone limits and the
+    # parallelepiped budget, and no public function takes a point budget
+    owned = {"_double_description", "MAX_CONE_GENERATORS", "MAX_CONE_DIM",
+             "MAX_PARALLELEPIPED_POINTS"}
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        names |= {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                  for alias in node.names}
+        if path.stem != "lattice_geometry":
+            assert not names & owned, (path.name, sorted(names & owned))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                args = node.args.args + node.args.kwonlyargs + node.args.posonlyargs
+                assert "max_points" not in [a.arg for a in args], (path.name, node.name)
+    tree = ast.parse((PACKAGE / "lattice_geometry.py").read_text(encoding="utf-8"))
+    cone_pass = next(node for node in tree.body
+                     if isinstance(node, ast.ClassDef) and node.name == "ConePass")
+    inside = {id(node) for node in ast.walk(cone_pass)}
+    loads = [node for node in ast.walk(tree) if isinstance(node, ast.Name)
+             and node.id in owned and isinstance(node.ctx, ast.Load)]
+    assert loads and all(id(node) in inside for node in loads)

@@ -5,18 +5,18 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from qtoric import (AffineSemigroup, Cone, DimensionError, Facet, FacetSemigroup,
                     Membership, NotNormalError, PreconditionError, QtoricError, SizeLimitError,
                     Sublattice, VerificationError, cone_facets, decompose, elements_by_degree,
                     facet_subsemigroup, hilbert_basis, hilbert_function,
-                    lattice_geometry, linalg, load_model, regularity_report,
-                    semigroups)
+                    lattice_geometry, linalg, load_model, regularity_report)
 from qtoric.lattice_geometry import vdot
 
 from .oracles import (all_posets_up_to, bounded_brute_membership, brute_members_by_degree,
-                      brute_membership, brute_normality_witness, decomposition_mismatch,
+                      brute_membership, brute_normality_witness, checked_regularity_report,
+                      decomposition_mismatch,
                       embedded_facets, embedded_is_pointed, embedded_membership,
                       embedded_normality, embedded_regularity_report,
                       facet_presentation_mismatch, gorenstein_candidate_works,
@@ -237,7 +237,8 @@ def test_cone_answers_match_the_embedded_copy():
     rng = random.Random(24)
     cases = [[(1, 0), (1, 300001), (0, 1)],  # the parallelepiped budget
              [tuple(int(j <= i) for j in range(8)) for i in range(8)],  # dimension 8
-             [(1, k) for k in range(21)], [(-1, 1)] * 21 + [(-2, 2)]]  # over 20 generators
+             [(1, k) for k in range(21)],  # 21 rays
+             [(-1, 1)] * 21 + [(-2, 2)]]  # 22 generators on one ray
     done = {"positive": 0, "pointed": 0, "nonfull": 0, "line": 0}
     while min(done.values()) < 40:
         kind = rng.choice(sorted(done))
@@ -261,13 +262,52 @@ def test_cone_answers_match_the_embedded_copy():
             for _ in range(10):
                 x = tuple(rng.randint(-8, 8) for _ in range(dim))
                 assert s.membership(x) == embedded_membership(s, x), (gens, x)
-    # the one change: the copy of this S has positive coordinates, so its
-    # search skipped the generator limit of the pointed search, which S's
-    # own membership test, like is_pointed, charges
+    # 22 generators on one ray: the pass charges its distinct rays, so this
+    # S answers where is_pointed and normality once charged the generators
     s = AffineSemigroup([(1, -1)] * 21 + [(2, -2)])
-    assert embedded_normality(s).normal
-    refusal = ("SizeLimitError", "22 generators exceed the supported limit of 20", None)
-    assert _outcome(s.normality) == _outcome(s.is_pointed) == refusal
+    assert s.is_pointed() and s.normality() == embedded_normality(s)
+    assert s.normality().normal
+
+
+def test_every_cone_entry_counts_rays():
+    # one pass charges the distinct rays, whichever entry builds it; the
+    # image under (x, y) -> (x, y - x) is not positive, so its is_pointed
+    # and membership go through the pointed search
+    for gens, member in (([(1, 0), (0, 1)] + [(1, 0)] * 20, (3, 1)),
+                         ([(1, -1), (0, 1)] + [(1, -1)] * 20, (3, -2))):
+        s = AffineSemigroup(gens)
+        assert s.is_pointed() and s.normality().normal, gens
+        assert s.facets() == cone_facets(s.cone) and len(s.facets()) == 2, gens
+        assert s.contains(member) and not s.contains((-1, 0)), gens
+    assert regularity_report(AffineSemigroup([(1, 0), (0, 1)] + [(1, 0)] * 20)).as_regular
+    refusal = ("SizeLimitError", "21 generators exceed the supported limit of 20", None)
+    positive = AffineSemigroup([(1, k) for k in range(21)])
+    image = AffineSemigroup([(1, k - 10) for k in range(21)])
+    for s in (positive, image):
+        for call in (s.normality, s.facets, lambda: cone_facets(s.cone)):
+            assert _outcome(call) == refusal, s
+    assert _outcome(lambda: regularity_report(positive)) == refusal
+    assert _outcome(image.is_pointed) == refusal
+    assert positive.is_pointed()  # a positive S is pointed without a pass
+
+
+def test_normality_line_certificate_is_ambient():
+    # the certificate v lies in Z^(n+1), not in coordinates of G(S), and it is
+    # the one hilbert_basis gives on the cone and G(S); v and -v are both in
+    # the cone: positive multiples of each are sums of a few generators
+    for gens, line in (([(2, 0, 0), (-2, 0, 0), (0, 2, 2)], {(2, 0, 0)}),
+                       ([(1, 0), (-1, 0), (0, 1)], {(1, 0), (-1, 0)}),
+                       ([(0, 3, 0), (1, 1, 1), (0, -6, 0), (2, 2, 2)], {(0, 3, 0), (0, -3, 0)})):
+        s = AffineSemigroup(gens)
+        with pytest.raises(PreconditionError) as exc:
+            s.normality()
+        with pytest.raises(PreconditionError) as by_hilbert_basis:
+            hilbert_basis(s.cone, s.group)
+        v = exc.value.certificate
+        assert v in line and v == by_hilbert_basis.value.certificate, gens
+        for w in (v, tuple(-c for c in v)):
+            assert any(bounded_brute_membership(s.generators, tuple(k * c for c in w), 3)
+                       for k in (1, 2, 3)), (gens, w)
 
 
 def test_numerical_membership_at_ten_thousand_is_fast():
@@ -374,7 +414,7 @@ def test_normality_size_refusal_passes_through_and_is_cached(monkeypatch):
     def enumerate_again(*args, **kwargs):
         raise AssertionError("the refusal was not kept")
 
-    monkeypatch.setattr(semigroups, "_hilbert_basis_of_pass", enumerate_again)
+    monkeypatch.setattr(lattice_geometry.ConePass, "hilbert_basis", enumerate_again)
     with pytest.raises(SizeLimitError) as again:
         s.normality()
     assert again.value is exc.value
@@ -385,8 +425,8 @@ def test_normality_size_refusal_passes_through_and_is_cached(monkeypatch):
 def test_cone_limits_are_checked_before_the_embedding(monkeypatch):
     # the cone pass, in coordinates of G(S), is the work the limits bound
     built = []
-    real = semigroups._double_description
-    monkeypatch.setattr(semigroups, "_double_description",
+    real = lattice_geometry._double_description
+    monkeypatch.setattr(lattice_geometry, "_double_description",
                         lambda rays, d: built.append(rays) or real(rays, d))
     # the Hibi semigroup of an 8-element chain: rank 8, 8 rays
     chain = AffineSemigroup([tuple(int(j <= i) for j in range(8)) for i in range(8)])
@@ -597,7 +637,6 @@ def test_second_regularity_report_runs_no_facet_search(rays13, monkeypatch):
         return real(rays, d)
 
     real = lattice_geometry._double_description
-    monkeypatch.setattr(semigroups, "_double_description", counting)
     monkeypatch.setattr(lattice_geometry, "_double_description", counting)
     first = regularity_report(rays13)
     assert calls
@@ -680,6 +719,7 @@ def test_regularity_invariants(n2, a1, rays13, n23, nonnorm_gap, nonnorm_half):
     order = {"yes": 2, "no": 1, "inapplicable": 0}
     for s in [n2, a1, rays13, n23, nonnorm_gap, nonnorm_half]:
         r = regularity_report(s)
+        assert checked_regularity_report(s) == r
         assert r.maximal_order == r.normal
         assert (r.as_cohen_macaulay == "inapplicable") == (not r.normal)
         if r.as_regular:
@@ -690,6 +730,32 @@ def test_regularity_invariants(n2, a1, rays13, n23, nonnorm_gap, nonnorm_half):
         if r.gorenstein_witness is not None and s.is_full():
             for f in s.facets():
                 assert vdot(f.inner_normal, r.gorenstein_witness) == 1
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_regular_semigroups_are_gorenstein_by_the_basis_sum(data):
+    # regularity_report no longer checks that a regular S is Gorenstein (the
+    # proof is in its docstring): the rows of a nonnegative unimodular
+    # matrix, plus sums of them, generate a regular S whose Gorenstein
+    # witness is the sum of its Hilbert basis, the rows
+    dim = data.draw(st.integers(1, 4))
+    rows = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    if dim > 1:
+        for i, j in data.draw(st.lists(st.tuples(st.integers(0, dim - 1),
+                                                 st.integers(0, dim - 1)), max_size=5)):
+            if i != j:
+                rows[i] = [a + b for a, b in zip(rows[i], rows[j])]
+    extra = data.draw(st.lists(st.lists(st.integers(0, 2), min_size=dim, max_size=dim),
+                               max_size=3))
+    gens = [tuple(r) for r in rows] + [
+        tuple(sum(c * r[k] for c, r in zip(cs, rows)) for k in range(dim))
+        for cs in extra if any(cs)]
+    s = AffineSemigroup(gens)
+    r = checked_regularity_report(s)
+    assert r == regularity_report(s) and r.as_regular
+    assert sorted(s.normality().saturation_hilbert_basis) == sorted(map(tuple, rows))
+    assert r.gorenstein_witness == tuple(map(sum, zip(*rows)))
 
 
 def test_regularity_requires_positive():

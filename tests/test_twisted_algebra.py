@@ -416,10 +416,25 @@ def test_twisting_system_preconditions(qplane):
     torus = TwistedAlgebra(None, qplane, 2)
     with pytest.raises(PreconditionError):
         torus.twisting_system()
+    # a non-positive domain gets its system: nothing enumerates degrees
     pointed = AffineSemigroup([(1, 0), (-1, 1)])
-    with pytest.raises(PreconditionError) as exc:
-        TwistedAlgebra(pointed, qplane).twisting_system()
-    assert str(exc.value) == "degree enumeration needs a positive semigroup"
+    assert TwistedAlgebra(pointed, qplane).twisting_system().cocycle is qplane
+
+
+def test_twisting_system_of_a_non_positive_semigroup(qplane):
+    # the unimodular image (x, y) -> (x - 2y, y) of A1, whose degrees
+    # twisting_system_mismatch cannot enumerate: the twisted commutative
+    # product equals the algebra's on all sums of at most 3 generators
+    s = AffineSemigroup([(1, 0), (-2, 1), (-5, 2)])
+    sums = {tuple(map(sum, zip((0, 0), *combo)))
+            for k in range(4) for combo in itertools.combinations_with_replacement(s.generators, k)}
+    assert len(sums) == 16
+    for alpha in (qplane, quantum_cocycle(2), shifted_cocycle(2)):
+        algebra = TwistedAlgebra(s, alpha)
+        system = algebra.twisting_system()
+        for a, b in itertools.product(sorted(sums), repeat=2):
+            x, y = algebra.monomial(a), algebra.monomial(b)
+            assert system.twisted_product(x, y) == algebra.product(x, y), (alpha, a, b)
 
 
 def test_localize_at_facet_quantum(n2, qplane):
