@@ -17,10 +17,9 @@ from .scalars_cocycles import (Cocycle, CohomologyResult, Scalar,
                                ScalarMonomial, are_cohomologous,
                                check_cocycle_identity, commutation_matrix)
 from .semigroups import (AffineSemigroup, Decomposition, FacetSemigroup,
-                         FullEmbedding, Membership, NormalityCertificate,
-                         RegularityReport, decompose, elements_by_degree,
-                         facet_subsemigroup, hilbert_function,
-                         regularity_report)
+                         Membership, NormalityCertificate, RegularityReport,
+                         decompose, elements_by_degree, facet_subsemigroup,
+                         hilbert_function, regularity_report)
 from .twisted_algebra import (FacetLocalization, TorusEmbedding,
                               TwistedAlgebra, TwistedElement, TwistingSystem)
 from .lattice_algebras import (BirkhoffData, DistLattice, LatticeAlgebraReport,
@@ -34,7 +33,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AffineSemigroup", "BirkhoffData", "Cocycle", "CohomologyResult", "Cone",
     "Decomposition", "DimensionError", "DistLattice", "Facet",
-    "FacetLocalization", "FacetSemigroup", "FullEmbedding",
+    "FacetLocalization", "FacetSemigroup",
     "LatticeAlgebraReport", "Membership", "ModelFile", "ModelParseError",
     "NormalityCertificate", "NotNormalError", "PreconditionError",
     "QtoricError", "RegularityReport", "Scalar", "ScalarMonomial",

@@ -61,6 +61,8 @@ def _parse_vector(text: str) -> tuple[int, ...]:
 
 def _resolve_bound(args, model: ModelFile) -> int:
     if args.bound is not None:
+        if args.bound < 0:
+            raise _CliUsage("--bound must be nonnegative")
         return args.bound
     env = os.environ.get("QTORIC_BOUND")
     if env is not None:

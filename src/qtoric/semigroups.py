@@ -17,13 +17,18 @@ from typing import Sequence
 from . import linalg
 from .errors import (DimensionError, NotNormalError, PreconditionError,
                      SizeLimitError, VerificationError)
-from .lattice_geometry import (Cone, ConePass, Facet, IntVec, Sublattice, _incident_facets,
-                               as_vec, is_zero, lattice_of, vadd, vdot, vsub, zero_vec)
+from .lattice_geometry import (Cone, ConePass, Facet, IntVec, _incident_facets, as_vec,
+                               is_zero, lattice_of, vadd, vdot, vsub, zero_vec)
 
 # hilbert_function enumerates every member up to its degree N; in dimension d
 # there are at most C(N + d, d) of them (the nonnegative vectors of coordinate
 # sum <= N).  A million members of A1 take about 1 s on a 2-core Xeon VM.
 MAX_DEGREE_POINTS = 1_000_000
+# The membership search lists every summand of its witness: a witness of
+# 3 * 10^6 summands raises the peak RSS by about 53 MiB (64-bit CPython 3.11),
+# so a multiple of one generator beyond this many summands is refused before
+# its list is built.
+MAX_WITNESS_SUMMANDS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -70,7 +75,6 @@ class AffineSemigroup:
         self._member_cache: dict[IntVec, Membership] = {}
         self._normality_cache: NormalityCertificate | None = None
         self._normality_refusal: SizeLimitError | None = None
-        self._embedding: FullEmbedding | None = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -165,8 +169,9 @@ class AffineSemigroup:
         way lies in the cone, so it passes ``weight >= 0`` and ``inside``, and
         a non-multiple never reaches zero.  Under a depth bound, a
         non-multiple or an m beyond the remaining depth marks the search
-        limited, as the depth cut would.  ``failed`` maps a failed state to
-        the most summands it had left (0 in a complete search); a state is
+        limited, as the depth cut would.  An m beyond ``MAX_WITNESS_SUMMANDS``
+        is refused before the witness is built.  ``failed`` maps a failed state
+        to the most summands it had left (0 in a complete search); a state is
         skipped only with no more left now, as its search is then part of one
         that failed.
         """
@@ -188,6 +193,10 @@ class AffineSemigroup:
                         depth_bound is not None and m > depth_bound - depth):
                     limited = True
                     return None
+                if m > MAX_WITNESS_SUMMANDS:
+                    raise SizeLimitError(
+                        f"a witness of {m} summands exceeds the supported limit of "
+                        f"{MAX_WITNESS_SUMMANDS}")
                 return tuple(sorted(path + [0] * m))
             key = (v, max_idx)
             left = depth_bound - depth if depth_bound is not None else 0
@@ -221,15 +230,7 @@ class AffineSemigroup:
             raise ValueError("no witness on a negative decision")
         return tuple(self.generators[i] for i in m.witness)
 
-    # -- embeddings and saturation ------------------------------------------
-
-    def full_embedding(self) -> "FullEmbedding":
-        """Rewrite S inside its group of fractions, re-coordinatized to Z^rank (built once)."""
-        if self._embedding is None:
-            coords = [self.group.coordinates(g) for g in self.generators]
-            emb = AffineSemigroup(coords, self.group.rank)
-            self._embedding = FullEmbedding(self.group.rank, emb, self.group)
-        return self._embedding
+    # -- saturation ---------------------------------------------------------
 
     def normality(self) -> "NormalityCertificate":
         """Exact normality decision with certificate.
@@ -284,26 +285,9 @@ class AffineSemigroup:
         """Facets of the cone of S in ambient coordinates (S must be full)."""
         if not self.is_full():
             raise PreconditionError(
-                "facets in ambient coordinates need a full semigroup; "
-                "use full_embedding() first",
-                certificate=self.rank)
+                "facets in ambient coordinates need a full semigroup", certificate=self.rank)
         # the Hermite basis of G(S) = Z^d is the identity: the pass is ambient
         return _incident_facets(self._cone.normals, self.generators)
-
-
-@dataclass(frozen=True)
-class FullEmbedding:
-    """S rewritten in coordinates of its group of fractions."""
-
-    rank: int
-    semigroup: AffineSemigroup
-    sublattice: Sublattice
-
-    def to_coordinates(self, v: Sequence[int]) -> IntVec | None:
-        return self.sublattice.coordinates(v)
-
-    def to_ambient(self, c: Sequence[int]) -> IntVec:
-        return self.sublattice.from_coordinates(c)
 
 
 @dataclass(frozen=True)
@@ -380,8 +364,7 @@ def facet_subsemigroup(semigroup: AffineSemigroup, facet: Facet) -> FacetSemigro
     """
     semigroup.require_normal()
     if not semigroup.is_full():
-        raise PreconditionError(
-            "facet semigroups need a full semigroup; use full_embedding() first")
+        raise PreconditionError("facet semigroups need a full semigroup")
     n_vec = facet.inner_normal
     gens = semigroup.generators
     pairings = [vdot(n_vec, g) for g in gens]
@@ -419,18 +402,17 @@ class Decomposition:
 
 
 def decompose(semigroup: AffineSemigroup, bound: int = 6) -> Decomposition:
-    """Intersection decomposition S = /\\ S_tau for a normal full positive S.
+    """Intersection decomposition S = /\\ S_tau for a normal full S.
 
-    Exact: a normal full S is C ∩ Z^(n+1), and the cone C is the
-    intersection of the half-spaces of its complete facet list, so no point
-    needs checking.  ``verified_to_degree`` records the caller's ``bound``.
-    Refuses non-normal input with the normality witness.
+    Exact: a normal full S is C ∩ Z^(n+1), and the cone C, pointed since
+    ``normality()`` refuses a line, is the intersection of the half-spaces of
+    its complete facet list, so no point needs checking.
+    ``verified_to_degree`` records the caller's ``bound``.  Refuses
+    non-normal input with the normality witness.
     """
     semigroup.require_normal()
     if not semigroup.is_full():
         raise PreconditionError("decomposition needs a full semigroup")
-    if not semigroup.positive:
-        raise PreconditionError("decomposition needs a positive semigroup")
     parts = tuple(facet_subsemigroup(semigroup, f) for f in semigroup.facets())
     return Decomposition(parts, bound)
 
@@ -462,14 +444,14 @@ def regularity_report(semigroup: AffineSemigroup) -> RegularityReport:
     normal (solved exactly over Z).  Regular: the Hilbert basis is a lattice
     basis.  Maximal order <=> normal.  A balanced dualizing complex always
     exists.  Non-normal input gets "inapplicable" for the classical criteria.
+    Every decision reads the cone in coordinates of G(S), so any pointed S
+    is answered; ``normality()`` refuses a cone with a line.
 
     A regular S is Gorenstein, so no check follows the decision: its Hilbert
     basis h_1..h_r is a basis of G(S) and spans the cone, which is then
     simplicial with the dual basis n_1..n_r as its primitive inner normals,
     and c = h_1 + ... + h_r has <n_i, c> = 1 for every i.
     """
-    if not semigroup.positive and not semigroup.is_trivial():
-        raise PreconditionError("regularity report needs a positive semigroup")
     cert = semigroup.normality()
     if not cert.normal:
         return RegularityReport(False, (cert.witness_g, cert.witness_p), "inapplicable",

@@ -3,11 +3,11 @@
 Elements are finite sums of monomials X^s with ``Scalar`` coefficients;
 the product is X^s X^t = alpha(s, t) X^(s+t) extended bilinearly.  The module
 also builds the left twisting system that recovers the algebra from its
-commutative degeneration, the full quantum-torus embedding, and facet
-localizations.  The twisting system needs no verification: for the
-closed-form cocycles its axiom is the cocycle identity of a bilinear form,
-and tau_t(X^s) = alpha(s, t) X^s reproduces the product by definition, so
-the proof is exact in every degree.
+commutative degeneration, the quantum-torus embedding on the group of
+fractions, and facet localizations.  The twisting system needs no
+verification: for the closed-form cocycles its axiom is the cocycle
+identity of a bilinear form, and tau_t(X^s) = alpha(s, t) X^s reproduces
+the product by definition, so the proof is exact in every degree.
 """
 
 from __future__ import annotations
@@ -215,52 +215,52 @@ class TwistedAlgebra:
     # -- quantum torus embedding ---------------------------------------------
 
     def torus_embedding(self) -> "TorusEmbedding":
-        """Embed A into a quantum torus on Y_0..Y_n, one Y per lattice direction.
+        """Embed A into its quantum torus on G(S): one Y_i per basis vector b_i of G(S).
 
-        Total on every full semigroup.  Y_i = X^(s_i) (X^(t_i))^(-1) for a pair
-        s_i - t_i = e_i in S: a positive S takes the lexicographically smallest
-        t of degree <= PAIR_SEARCH_DEGREE with t + e_i in S, found by a
-        lexicographic walk of S (``_lex_members``); otherwise s_i and t_i are
-        the positive and the negative part of an integer solution
-        e_i = sum_j lambda_j g_j.  All data are exact closed forms in alpha:
-        Y_i = alpha(s_i, -t_i) / alpha(t_i, -t_i) X^(e_i) = alpha(e_i, t_i)^(-1) X^(e_i),
-        q_ij = alpha(e_i, e_j) / alpha(e_j, e_i) and X^g = c Y_0^(g_0)...Y_n^(g_n),
-        where 1/c is the product of the Y_i scalars to the g_i, the word scalar
-        of (g_0 e_0, ..., g_n e_n) and the alpha(e_i, e_i)^(g_i (g_i - 1) / 2).
-        Each scalar is built once, from its sum of integer exponent numerators
-        (``Cocycle.numerators``).  ``q_matrix`` needs no check: q_ji has the
-        negated exponents of q_ij and q_ii zero ones (``commutation_matrix``).
+        Total on every affine semigroup.  b_0..b_(r-1) is the Hermite basis
+        ``S.group.basis``, which is e_0..e_n when G(S) = Z^(n+1).
+        Y_i = X^(s_i) (X^(t_i))^(-1) for a pair s_i - t_i = b_i in S: a
+        positive S takes the lexicographically smallest t of degree
+        <= PAIR_SEARCH_DEGREE with t + b_i in S, found by a lexicographic walk
+        of S (``_lex_members``); otherwise s_i and t_i are the positive and the
+        negative part of b_i = sum_j lambda_j g_j, for an integer solution
+        e_i = sum_j lambda_j k(g_j) in the coordinates k(g) of G(S).  All data
+        are exact closed forms in alpha:
+        Y_i = alpha(s_i, -t_i) / alpha(t_i, -t_i) X^(b_i) = alpha(b_i, t_i)^(-1) X^(b_i),
+        q_ij = alpha(b_i, b_j) / alpha(b_j, b_i) and, with k = k(g),
+        X^g = c Y_0^(k_0)...Y_(r-1)^(k_(r-1)), where 1/c is the product of the
+        Y_i scalars to the k_i, the word scalar of (k_0 b_0, ..., k_(r-1) b_(r-1))
+        and the alpha(b_i, b_i)^(k_i (k_i - 1) / 2).  Each scalar is built once,
+        from its sum of integer exponent numerators (``Cocycle.numerators``).
+        ``q_matrix`` needs no check: q_ji has the negated exponents of q_ij and
+        q_ii zero ones (``commutation_matrix``).
         """
         if self.domain is None or isinstance(self.domain, FacetSemigroup):
             raise PreconditionError("torus embedding starts from a semigroup algebra")
         s_gp = self.domain
-        if not s_gp.is_full():
-            raise PreconditionError(
-                f"semigroup group of fractions has rank {s_gp.rank} inside "
-                f"Z^{s_gp.ambient_dim} or is a proper sublattice; embed fully first",
-                certificate=s_gp.group)
-        alpha, dim, gens = self.cocycle, self.dim, s_gp.generators
-        basis = [tuple(int(j == i) for j in range(dim)) for i in range(dim)]
+        alpha, dim, gens, basis = self.cocycle, self.dim, s_gp.generators, s_gp.group.basis
+        coords = [s_gp.group.coordinates(g) for g in gens]
         pairs: list[tuple[IntVec, IntVec]] = []
-        for e_i in basis:
+        for i, b_i in enumerate(basis):
             walk = _lex_members(s_gp, PAIR_SEARCH_DEGREE) if s_gp.positive else ()
-            pair = next(((s, t) for t in walk if s_gp.contains(s := vadd(t, e_i))), None)
+            pair = next(((s, t) for t in walk if s_gp.contains(s := vadd(t, b_i))), None)
             if pair is None:
-                # s_i collects the positive terms of e_i = sum_j lambda_j g_j
-                lam = linalg.solve_integer(linalg.transpose(gens), e_i)
+                # s_i collects the positive terms of b_i = sum_j lambda_j g_j
+                e_i = tuple(int(j == i) for j in range(len(basis)))
+                lam = linalg.solve_integer(linalg.transpose(coords), e_i)
                 s = tuple(sum(l * g[k] for l, g in zip(lam, gens) if l > 0) for k in range(dim))
-                pair = (s, vsub(s, e_i))
+                pair = (s, vsub(s, b_i))
             pairs.append(pair)
-        y_nums = [[-x for x in alpha.numerators(e, t)] for e, (_, t) in zip(basis, pairs)]
+        y_nums = [[-x for x in alpha.numerators(b, t)] for b, (_, t) in zip(basis, pairs)]
         q_matrix = commutation_matrix(alpha, basis)
-        diagonal = [alpha.numerators(e, e) for e in basis]
+        diagonal = [alpha.numerators(b, b) for b in basis]
         gen_scalars = {}
-        for g in gens:
-            c = alpha.word_numerators([tuple(k * x for x in e) for k, e in zip(g, basis)])
-            for k, y, d in zip(g, y_nums, diagonal):
+        for g, ks in zip(gens, coords):
+            c = alpha.word_numerators([tuple(k * x for x in b) for k, b in zip(ks, basis)])
+            for k, y, d in zip(ks, y_nums, diagonal):
                 c = [x + k * y_x + k * (k - 1) // 2 * d_x for x, y_x, d_x in zip(c, y, d)]
             gen_scalars[g] = alpha.monomial([-x for x in c])
-        ys = tuple(TwistedElement({e: alpha.monomial(y)}) for e, y in zip(basis, y_nums))
+        ys = tuple(TwistedElement({b: alpha.monomial(y)}) for b, y in zip(basis, y_nums))
         return TorusEmbedding(q_matrix, tuple(pairs), ys, gen_scalars)
 
     # -- facet localization ----------------------------------------------------
@@ -334,18 +334,19 @@ class TwistingSystem:
 
 @dataclass(frozen=True)
 class TorusEmbedding:
-    """Exact data of the embedding into a quantum torus; every full S has one.
+    """Exact data of the embedding into a quantum torus on G(S); every S has one.
 
-    ``pairs[i]`` is (s_i, t_i) in S with s_i - t_i = e_i: for a positive S the
-    lexicographically smallest t_i of degree <= 10 with t_i + e_i in S, which
-    a lexicographic heap walk of S finds without building the degree window
-    (the pairs are those of the sorted window), else the positive and
-    negative parts of an integer solution e_i = sum_j lambda_j g_j.
-    ``y_monomials[i]`` is the resulting unit Y_i
-    (a monomial with exponent e_i); ``q_matrix`` the commutation scalars of
-    the Y's; ``generator_scalars[g]`` the scalar with X^g = scalar * Y^g
-    (ordered product).  All scalars are exact closed forms in the cocycle,
-    each one monomial of a sum of integer exponent numerators.
+    ``pairs[i]`` is (s_i, t_i) in S with s_i - t_i = b_i, the i-th vector of
+    ``S.group.basis``: for a positive S the lexicographically smallest t_i of
+    degree <= 10 with t_i + b_i in S, which a lexicographic heap walk of S
+    finds without building the degree window (the pairs are those of the
+    sorted window), else the positive and negative parts of an integer
+    solution b_i = sum_j lambda_j g_j.  ``y_monomials[i]`` is the resulting
+    unit Y_i (a monomial with exponent b_i); ``q_matrix`` the commutation
+    scalars of the Y's; ``generator_scalars[g]`` the scalar with
+    X^g = scalar * Y^k for the coordinates k of g in G(S) (ordered product).
+    All scalars are exact closed forms in the cocycle, each one monomial of a
+    sum of integer exponent numerators.
     The inverse direction is monomial: Y_i is literally a Laurent monomial in
     the X's via pairs[i].
     """

@@ -594,14 +594,19 @@ def decomposition_mismatch(generators, normals, bound):
     return None
 
 
-# -- cone answers on the full_embedding() copy ---------------------------------
+# -- cone answers on a coordinate copy of S ------------------------------------
 #
 # How each cone answer of an AffineSemigroup was computed before the
 # semigroup kept one double-description pass: pointedness and the pointed
 # membership search through cone_facets on the embedded generators, normality
-# through hilbert_basis and membership on the full_embedding() copy, facets
-# through cone_facets on the cone of S, and the regularity report through the
-# facets of the copy.  Each public function runs its own pass.
+# through hilbert_basis and membership on a copy of S in coordinates of G(S),
+# facets through cone_facets on the cone of S, and the regularity report
+# through the facets of the copy.  Each public function runs its own pass.
+
+def coordinate_copy(s):
+    """S rewritten in coordinates of its group of fractions: a full semigroup."""
+    return AffineSemigroup([s.group.coordinates(g) for g in s.generators], s.rank)
+
 
 def embedded_pointed_data(s):
     """(embedded generators, inner normals, their sum), or None with a line."""
@@ -632,51 +637,47 @@ def embedded_normality(s):
     if s.is_trivial() or s.rank == 0:
         return NormalityCertificate(True, (), None, None)
     check_cone_limits(len({primitive(g) for g in s.generators}), s.rank)
-    emb = s.full_embedding()
-    s_emb = emb.semigroup
+    s_emb, to_ambient = coordinate_copy(s), s.group.from_coordinates
     try:
-        hb = hilbert_basis(s_emb.cone, Sublattice.standard(emb.rank))
+        hb = hilbert_basis(s_emb.cone, Sublattice.standard(s.rank))
     except SizeLimitError:
         raise
     except PreconditionError as exc:
         raise PreconditionError(f"normality needs a pointed cone: {exc}",
-                                certificate=emb.to_ambient(exc.certificate))
-    in_ambient = tuple(map(emb.to_ambient, hb))
+                                certificate=to_ambient(exc.certificate))
+    in_ambient = tuple(map(to_ambient, hb))
     for h in hb:
         if not s_emb.contains(h):
             p = 2
             while not s_emb.contains(tuple(p * c for c in h)):
                 p += 1
-            return NormalityCertificate(False, in_ambient, emb.to_ambient(h), p)
+            return NormalityCertificate(False, in_ambient, to_ambient(h), p)
     return NormalityCertificate(True, in_ambient, None, None)
 
 
 def embedded_facets(s):
     if not s.is_full():
-        raise PreconditionError(
-            "facets in ambient coordinates need a full semigroup; use full_embedding() first",
-            certificate=s.rank)
+        raise PreconditionError("facets in ambient coordinates need a full semigroup",
+                                certificate=s.rank)
     return cone_facets(s.cone)
 
 
 def embedded_regularity_report(s):
-    if not s.positive and not s.is_trivial():
-        raise PreconditionError("regularity report needs a positive semigroup")
     cert = embedded_normality(s)
     if not cert.normal:
         return RegularityReport(False, (cert.witness_g, cert.witness_p), "inapplicable",
                                 "inapplicable", None, False, False, True, s.rank)
-    emb = s.full_embedding()
-    r = emb.rank
+    r = s.rank
     if r == 0:
         return RegularityReport(True, None, "yes", "yes", (0,) * s.ambient_dim,
                                 True, True, True, 0)
-    normals = [f.inner_normal for f in cone_facets(emb.semigroup.cone)]
+    normals = [f.inner_normal for f in cone_facets(coordinate_copy(s).cone)]
     c = linalg.solve_integer(normals, [1] * len(normals))
-    hb = [emb.to_coordinates(h) for h in cert.saturation_hilbert_basis]
+    hb = [s.group.coordinates(h) for h in cert.saturation_hilbert_basis]
     regular = len(hb) == r and abs(linalg.det_int(hb)) == 1
     return RegularityReport(True, None, "yes", "no" if c is None else "yes",
-                            None if c is None else emb.to_ambient(c), regular, True, True, r)
+                            None if c is None else s.group.from_coordinates(c),
+                            regular, True, True, r)
 
 
 def checked_standard_word(sg, s):
@@ -970,19 +971,20 @@ def product_chain_torus_embedding(algebra, pairs=None, search_degree=10):
 
     Y_i = X^(s_i) (X^(t_i))^(-1); q_ij is the ratio of the leading
     coefficients of Y_i Y_j and Y_j Y_i; the scalar of a generator g inverts
-    the coefficient of the power/product chain Y_0^(g_0)...Y_n^(g_n), which
-    must be a single term on X^g.  Without ``pairs`` (positive S only) they
-    are searched: the lexicographically smallest member t of degree
-    <= search_degree with t + e_i in S.
+    the coefficient of the power/product chain Y_0^(k_0)...Y_(r-1)^(k_(r-1)),
+    k the coordinates of g in the basis b_0..b_(r-1) of G(S), which must be a
+    single term on X^g.  Without ``pairs`` (positive S only) they are
+    searched: the lexicographically smallest member t of degree
+    <= search_degree with t + b_i in S.
     """
-    s_gp, dim = algebra.domain, algebra.dim
+    s_gp = algebra.domain
     torus = algebra.torus()
     if pairs is None:
         members = sorted(v for layer in elements_by_degree(s_gp, search_degree).values()
                          for v in layer)
         pairs = []
-        for i in range(dim):
-            shifted = (tuple(a + int(j == i) for j, a in enumerate(t)) for t in members)
+        for b in s_gp.group.basis:
+            shifted = (vadd(t, b) for t in members)
             pairs.append(next((s, t) for s, t in zip(shifted, members) if s_gp.contains(s)))
     ys = tuple(torus.product(torus.monomial(s), torus.monomial_inverse(torus.monomial(t)))
                for s, t in pairs)
@@ -992,8 +994,8 @@ def product_chain_torus_embedding(algebra, pairs=None, search_degree=10):
     scalars = {}
     for g in s_gp.generators:
         y_pow = torus.one()
-        for i in range(dim):
-            y_pow = torus.product(y_pow, torus.power(ys[i], g[i]))
+        for y, k in zip(ys, s_gp.group.coordinates(g)):
+            y_pow = torus.product(y_pow, torus.power(y, k))
         (expo, coeff), = y_pow.terms.items()
         assert expo == g, f"Y-monomial for generator {list(g)} is not X^g-parallel"
         scalars[g] = coeff.as_monomial().inverse()

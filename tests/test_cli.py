@@ -4,12 +4,13 @@ import os
 import subprocess
 import sys
 import time
+from ast import literal_eval
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from qtoric import cli, lattice_geometry
+from qtoric import AffineSemigroup, cli, lattice_geometry
 from qtoric.cli import build_parser, main
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -385,12 +386,47 @@ def test_each_semigroup_runs_one_cone_pass(capsys, monkeypatch, tmp_path):
     monkeypatch.setattr(lattice_geometry, "_double_description", counting)
     monkeypatch.setattr(cli, "_model", None)
     commands = ["analyze", "normal", "facets", "regularity", "decompose"]
-    expected = {"A1": [0, 0, 0, 0, 0], "U1": [0, 0, 0, 3, 3], "P2h": [0, 0, 3, 0, 3],
+    expected = {"A1": [0, 0, 0, 0, 0], "U1": [0, 0, 0, 0, 0], "P2h": [0, 0, 3, 0, 3],
                 "S4": [0, 0, 0, 0, 0]}
     for name, codes in expected.items():
         passes.clear()
         assert [run(capsys, [c, name], model=str(path))[0] for c in commands] == codes
         assert len(passes) == 1, (name, passes)
+
+
+def test_answers_on_the_group_of_fractions(capsys, tmp_path):
+    # the torus of a non-full S runs over the basis of G(S); the regularity
+    # report and decompose of a pointed S need no positivity
+    path = tmp_path / "groups.model"
+    path.write_text("semigroup P2h gens=[[2,0],[1,1],[0,2]]\n"
+                    "semigroup U1 gens=[[1,0],[-2,1],[-5,2]]\n"
+                    "cocycle qplane dim=2 params=[q] bichar:q=[[0,0],[-1,0]]\n", encoding="utf-8")
+    rc, out, err = run(capsys, ["embed-torus", "P2h", "qplane"], model=str(path))
+    assert (rc, err) == (0, "")
+    p2h = AffineSemigroup([(2, 0), (1, 1), (0, 2)])
+    pairs = [literal_eval(line.split(" = ")[1]) for line in out.splitlines()
+             if line.startswith("pair_")]
+    assert len(pairs) == len(p2h.group.basis) == 2
+    for (s, t), b in zip(pairs, p2h.group.basis):
+        assert tuple(x - y for x, y in zip(s, t)) == b
+        assert p2h.contains(s) and p2h.contains(t)
+    reports = {c: run(capsys, [c, "U1"], model=str(path)) for c in ("regularity", "decompose")}
+    assert all((rc, err) == (0, "") for rc, _, err in reports.values()), reports
+    assert "gorenstein_witness = [-2,1]" in reports["regularity"][1]
+    assert "facet_count = 2" in reports["decompose"][1]
+
+
+def test_negative_bound_flag_is_usage_error(capsys):
+    for argv in (["analyze", "A1"], ["decompose", "A1"], ["twist-check", "A1", "qplane"]):
+        rc, out, err = run(capsys, argv + ["--bound", "-3"])
+        assert (rc, out, err) == (2, "", "error: --bound must be nonnegative\n"), argv
+
+
+def test_witness_beyond_the_summand_limit_exits_3(capsys):
+    rc, out, err = run(capsys, ["multiply", "A1", "qplane", "99999999999999999999,0", "1,0"])
+    assert (rc, out) == (3, "")
+    assert err == ("error: a witness of 99999999999999999998 summands exceeds the "
+                   "supported limit of 1000000\n")
 
 
 def test_twist_check_answers_on_a_non_positive_semigroup(capsys, tmp_path):

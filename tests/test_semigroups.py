@@ -13,6 +13,7 @@ from qtoric import (AffineSemigroup, Cone, DimensionError, Facet, FacetSemigroup
                     facet_subsemigroup, hilbert_basis, hilbert_function,
                     lattice_geometry, linalg, load_model, regularity_report)
 from qtoric.lattice_geometry import vdot
+from qtoric.semigroups import MAX_WITNESS_SUMMANDS
 
 from .oracles import (all_posets_up_to, bounded_brute_membership, brute_members_by_degree,
                       brute_membership, brute_normality_witness, checked_regularity_report,
@@ -232,7 +233,7 @@ def _outcome(fn):
 
 def test_cone_answers_match_the_embedded_copy():
     # each cone answer reads the semigroup's one pass; the oracle recomputes
-    # it the way it was, on the full_embedding() copy with the public
+    # it the way it was, on a copy of S in coordinates of G(S) with the public
     # per-call cone_facets and hilbert_basis, each running its own pass
     rng = random.Random(24)
     cases = [[(1, 0), (1, 300001), (0, 1)],  # the parallelepiped budget
@@ -254,7 +255,7 @@ def test_cone_answers_match_the_embedded_copy():
         assert _outcome(s.facets) == _outcome(lambda: embedded_facets(s)), gens
         assert _outcome(lambda: regularity_report(s)) == \
             _outcome(lambda: embedded_regularity_report(s)), gens
-        if s.positive and s.is_full() and getattr(cert, "normal", False):
+        if s.is_full() and getattr(cert, "normal", False):
             assert decompose(s, 4).facet_semigroups == tuple(
                 facet_subsemigroup(s, f) for f in cone_facets(s.cone)), gens
         if not s.positive and _outcome(s.is_pointed) is True:
@@ -321,23 +322,19 @@ def test_numerical_membership_at_ten_thousand_is_fast():
         assert m.member and sum(s.generators[i][0] for i in m.witness) == 10**4
 
 
-def test_full_embedding_examples(n23):
-    emb = n23.full_embedding()
-    assert emb.rank == 1
-    assert emb.semigroup.generators == ((2,), (3,))
-    grid = AffineSemigroup([(2, 0), (0, 3)])
-    emb2 = grid.full_embedding()
-    assert emb2.rank == 2
-    assert emb2.semigroup.generators == ((1, 0), (0, 1))
-    assert AffineSemigroup([], ambient_dim=2).full_embedding().rank == 0
-
-
-def test_full_embedding_round_trip():
-    for gens in [[(2, 0), (0, 3)], [(2,), (3,)], [(1, 1, 0), (0, 1, 1)]]:
-        s = AffineSemigroup(gens)
-        emb = s.full_embedding()
-        for g in s.generators:
-            assert emb.to_ambient(emb.to_coordinates(g)) == g
+def test_witness_beyond_the_summand_limit_is_refused():
+    # the last level lists its m summands of one generator, so m is charged
+    # before the list is built
+    for gens, x, m in (([(1,)], (10**20,), 10**20),
+                       ([(1, 0), (1, 1), (1, 2)], (10**20, 0), 10**20 - 1),
+                       ([(1, -1), (1, 1)], (10**20, -10**20), 10**20 - 1),
+                       ([(1,)], (MAX_WITNESS_SUMMANDS + 1,), MAX_WITNESS_SUMMANDS + 1)):
+        with pytest.raises(SizeLimitError) as exc:
+            AffineSemigroup(gens).contains(x)
+        assert str(exc.value) == \
+            f"a witness of {m} summands exceeds the supported limit of 1000000", gens
+    assert AffineSemigroup([(1,)]).membership((MAX_WITNESS_SUMMANDS,)).witness == \
+        (0,) * MAX_WITNESS_SUMMANDS
 
 
 def test_no_fraction_inverse_is_reached(monkeypatch, n2, a1, n23, rays13, nonnorm_gap,
@@ -350,7 +347,6 @@ def test_no_fraction_inverse_is_reached(monkeypatch, n2, a1, n23, rays13, nonnor
     decomposed = 0
     for fixture in (n2, a1, n23, rays13, nonnorm_gap, nonnorm_half):
         s = AffineSemigroup(fixture.generators)  # rebuilt with the guard in place
-        s.full_embedding()
         regularity_report(s)
         if s.normality().normal:
             decompose(s)
@@ -567,10 +563,12 @@ def test_decompose_refuses_non_normal(n23):
     assert exc.value.witness_g == (1,)
 
 
-def test_decompose_requires_positive():
+def test_decompose_requires_full():
+    # normal and pointed, but G(S) = {x : x_0 + x_1 even}
     s = AffineSemigroup([(1, -1), (1, 1)])
-    with pytest.raises(PreconditionError):
+    with pytest.raises(PreconditionError) as exc:
         decompose(s)
+    assert str(exc.value) == "decomposition needs a full semigroup"
 
 
 def test_facet_semigroups_match_box_scan(n2, a1, rays13):
@@ -758,9 +756,60 @@ def test_regular_semigroups_are_gorenstein_by_the_basis_sum(data):
     assert r.gorenstein_witness == tuple(map(sum, zip(*rows)))
 
 
-def test_regularity_requires_positive():
-    with pytest.raises(PreconditionError):
-        regularity_report(AffineSemigroup([(1, -1), (1, 1)]))
+def test_regularity_requires_a_pointed_cone():
+    # a pointed S is answered, positive or not: this one is N^2 in
+    # coordinates of G(S); a cone with a line is refused by normality()
+    s = AffineSemigroup([(1, -1), (1, 1)])
+    r = regularity_report(s)
+    assert r == embedded_regularity_report(s) == checked_regularity_report(s)
+    assert r.as_regular and r.gorenstein_witness == (2, 0)
+    with pytest.raises(PreconditionError) as exc:
+        regularity_report(AffineSemigroup([(1, 0), (-1, 0), (0, 1)]))
+    assert str(exc.value).startswith("normality needs a pointed cone")
+
+
+def _drawn_unimodular(data, dim):
+    """A drawn U in GL_dim(Z): elementary row additions, then row sign flips."""
+    u = [[int(i == j) for j in range(dim)] for i in range(dim)]
+    index = st.integers(0, dim - 1)
+    for i, j, k in data.draw(st.lists(st.tuples(index, index, st.sampled_from((-2, -1, 1, 2))),
+                                      max_size=4)):
+        if i != j:
+            u[i] = [a + k * b for a, b in zip(u[i], u[j])]
+    for i, flip in enumerate(data.draw(st.lists(st.booleans(), min_size=dim, max_size=dim))):
+        if flip:
+            u[i] = [-a for a in u[i]]
+    return u
+
+
+@settings(max_examples=40, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_unimodular_images_get_the_same_answers(data, n2, a1, n23, rays13, nonnorm_gap,
+                                                nonnorm_half):
+    # U in GL_d(Z) is an isomorphism S -> U S of semigroups and of cones, so
+    # every decision is unchanged, the Gorenstein witness is U c, and the
+    # facet normals of U S are the n U^(-1): each m of U S has m U among those of S
+    decisions = lambda r: (r.normal, r.as_cohen_macaulay, r.as_gorenstein, r.as_regular,
+                           r.maximal_order, r.rank)
+    apply = lambda u, v: tuple(vdot(row, v) for row in u)
+    fixtures = [n2, a1, n23, rays13, nonnorm_gap, nonnorm_half, AffineSemigroup(SQUARE_CONE),
+                AffineSemigroup([(2, 0), (1, 1), (0, 2)])]
+    for s in fixtures:
+        u = _drawn_unimodular(data, s.ambient_dim)
+        image = AffineSemigroup([apply(u, g) for g in s.generators])
+        r, r_image = regularity_report(s), regularity_report(image)
+        assert decisions(r_image) == decisions(r), (s, u)
+        assert r_image.gorenstein_witness == (
+            None if r.gorenstein_witness is None else apply(u, r.gorenstein_witness))
+        if s.is_full():
+            back = [(tuple(vdot(f.inner_normal, col) for col in zip(*u)), f.incident)
+                    for f in image.facets()]
+            assert sorted(back) == sorted((f.inner_normal, f.incident) for f in s.facets())
+        # a refusal is compared by its type: its message cites ambient vectors
+        count = lambda x: _outcome(lambda: len(decompose(x).facet_semigroups))
+        kind = lambda outcome: outcome if isinstance(outcome, int) else outcome[0]
+        assert kind(count(image)) == kind(count(s)), (s, u)
 
 
 def test_gorenstein_witness_against_interior_points(n2, a1):

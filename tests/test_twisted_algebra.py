@@ -13,8 +13,9 @@ from qtoric.lattice_algebras import straightening_semigroup
 from qtoric.twisted_algebra import TwistingSystem, _lex_members
 
 from .conftest import quantum_cocycle, shifted_cocycle, two_parameter_cocycle
-from .oracles import (product_chain_torus_embedding, scalar_chain_commutation_matrix,
-                      twisting_system_mismatch, window_torus_embedding)
+from .oracles import (coordinate_copy, product_chain_torus_embedding,
+                      scalar_chain_commutation_matrix, twisting_system_mismatch,
+                      window_torus_embedding)
 
 
 def test_element_basics():
@@ -203,35 +204,80 @@ def test_torus_embedding_generator_scalars(a1, n2, qplane, shifted):
                 assert (emb.q_matrix[i][j] * emb.q_matrix[j][i]).is_one()
 
 
-def test_torus_embedding_requires_full(qplane):
+def test_torus_embedding_of_a_non_full_semigroup(qplane):
+    # one Y per basis vector of G(S) = 2Z x Z, each in S, so every t_i is 0
     s = AffineSemigroup([(2, 0), (0, 1)])
-    a = TwistedAlgebra(s, qplane)
-    with pytest.raises(PreconditionError) as exc:
-        a.torus_embedding()
-    assert exc.value.certificate.rank == 2
-    assert exc.value.certificate.basis == ((2, 0), (0, 1))
+    emb = _assert_embedding_matches_product_chain(TwistedAlgebra(s, qplane))
+    assert s.group.basis == ((2, 0), (0, 1))
+    assert emb.pairs == (((2, 0), (0, 0)), ((0, 1), (0, 0)))
+    assert [y.support for y in emb.y_monomials] == [((2, 0),), ((0, 1),)]
+    assert str(emb.q_matrix[0][1]) == "q^2"
+
+
+def _restricted(alpha, basis):
+    """alpha_B(u, v) = alpha(uB, vB): the bicharacter B M_k B^T of each M_k."""
+    return Cocycle.bicharacter(len(basis), {
+        p: [[sum(u[i] * m[i][j] * v[j] for i in range(len(u)) for j in range(len(v)))
+             for v in basis] for u in basis]
+        for p, m in zip(alpha.params, alpha.bichar)})
+
+
+def _assert_embedding_matches_the_coordinate_copy(s, alpha):
+    """The embedding of S equals that of its copy in coordinates of G(S) under
+    the restricted cocycle: the same q-matrix and generator scalars, and pairs
+    that the basis B of G(S) maps onto those of S."""
+    emb = _assert_embedding_matches_product_chain(TwistedAlgebra(s, alpha))
+    basis, copy = s.group.basis, coordinate_copy(s)
+    assert copy.is_full()
+    ref = TwistedAlgebra(copy, _restricted(alpha, basis)).torus_embedding()
+    to_ambient = s.group.from_coordinates
+    assert tuple((to_ambient(a), to_ambient(b)) for a, b in ref.pairs) == emb.pairs
+    assert emb.q_matrix == ref.q_matrix
+    assert {g: emb.generator_scalars[g] for g in s.generators} == \
+        {g: ref.generator_scalars[c] for g, c in zip(s.generators, copy.generators)}
+    return emb
 
 
 def test_torus_of_the_group_of_a_non_full_semigroup():
-    # G(S) = {x : x_0 + x_1 even} is a proper sublattice, so the route goes
-    # through its basis B: alpha_B(u, v) = alpha(uB, vB) has the bicharacter
-    # B M_k B^T, and k^(alpha_B)[S in G(S)-coordinates] is full
+    # G(S) = {x : x_0 + x_1 even} is a proper sublattice with the Hermite
+    # basis B = ((1, 1), (0, 2)); the embedding of S agrees with that of its
+    # full copy in coordinates of G(S) under alpha_B(u, v) = alpha(uB, vB)
     s = AffineSemigroup([(2, 0), (1, 1), (0, 2)])
     alpha = Cocycle.bicharacter(2, {"q": [[0, 1], [0, 0]], "r": [[1, 0], [2, 0]]})
-    with pytest.raises(PreconditionError):
-        TwistedAlgebra(s, alpha).torus_embedding()
-    emb = s.full_embedding()
-    b = emb.sublattice.basis
-    restricted = Cocycle.bicharacter(len(b), {
-        p: [[sum(u[i] * m[i][j] * v[j] for i in range(2) for j in range(2)) for v in b]
-            for u in b]
-        for p, m in zip(alpha.params, alpha.bichar)})
+    restricted = _restricted(alpha, s.group.basis)
     grid = list(itertools.product(range(-2, 3), repeat=2))
     for u, v in itertools.product(grid, repeat=2):
-        assert restricted(u, v) == alpha(emb.to_ambient(u), emb.to_ambient(v))
-    torus = _assert_embedding_matches_product_chain(TwistedAlgebra(emb.semigroup, restricted))
-    assert torus.pairs == (((1, 0), (0, 0)), ((0, 1), (0, 0)))
+        assert restricted(u, v) == alpha(s.group.from_coordinates(u),
+                                         s.group.from_coordinates(v))
+    torus = _assert_embedding_matches_the_coordinate_copy(s, alpha)
+    assert torus.pairs == (((1, 1), (0, 0)), ((0, 2), (0, 0)))
     assert str(torus.q_matrix[0][1]) == "q^2*r^-4"
+
+
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(st.data())
+def test_torus_embedding_matches_the_coordinate_copy_on_drawn_sublattices(data):
+    # S = C M for coordinates C and a map M of Z^r into Z^d (d >= r) that is
+    # not onto, so G(S) is a proper sublattice; a non-positive S and copy both
+    # solve for their pairs in the same coordinates, so the pairs correspond
+    rank = data.draw(st.integers(1, 3))
+    dim = data.draw(st.integers(rank, rank + 1))
+    entries = lambda n, lo, hi: st.lists(st.integers(lo, hi), min_size=n, max_size=n)
+    m = data.draw(st.lists(entries(dim, -2, 2), min_size=rank, max_size=rank))
+    coords = data.draw(st.lists(entries(rank, -3, 3).filter(any), min_size=1,
+                                max_size=rank + 2))
+    gens = [tuple(sum(c[i] * m[i][j] for i in range(rank)) for j in range(dim))
+            for c in coords]
+    assume(all(any(g) for g in gens))
+    s = AffineSemigroup(gens)
+    assume(not s.is_full() and not s.positive and not coordinate_copy(s).positive)
+    assume(s.is_pointed())  # the pairs' membership is decided without a bound
+    params = data.draw(st.sampled_from([("q",), ("q", "r")]))
+    alpha = Cocycle.bicharacter(
+        dim, {p: data.draw(st.lists(entries(dim, -2, 2), min_size=dim, max_size=dim))
+              for p in params})
+    _assert_embedding_matches_the_coordinate_copy(s, alpha)
 
 
 A1_GENS = [(1, 0), (1, 1), (1, 2)]
@@ -259,8 +305,9 @@ TOTALITY_CASES = [[(11,), (12,)], [(1, -12), (1, -11), (1, -10)],
 
 def _assert_embedding_matches_product_chain(algebra):
     emb = algebra.torus_embedding()
-    for i, (s, t) in enumerate(emb.pairs):
-        assert tuple(a - b for a, b in zip(s, t)) == tuple(int(j == i) for j in range(algebra.dim))
+    assert len(emb.pairs) == algebra.domain.rank
+    for (s, t), b in zip(emb.pairs, algebra.domain.group.basis):
+        assert tuple(a - c for a, c in zip(s, t)) == b
         assert algebra.domain.contains(s) and algebra.domain.contains(t)
     assert product_chain_torus_embedding(algebra, emb.pairs) == emb
     return emb
@@ -268,10 +315,13 @@ def _assert_embedding_matches_product_chain(algebra):
 
 def test_torus_embedding_matches_product_chain(a1, n2, n23, rays13, qplane, shifted):
     s3 = AffineSemigroup([(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)])
+    p2h, plane = AffineSemigroup([(2, 0), (1, 1), (0, 2)]), AffineSemigroup([(1, 1, 0), (0, 1, 1)])
     for s, alpha in [(a1, qplane), (n2, qplane), (a1, shifted), (n23, quantum_cocycle(1)),
-                     (rays13, shifted_cocycle(2)), (s3, shifted_cocycle(3))]:
+                     (rays13, shifted_cocycle(2)), (s3, shifted_cocycle(3)),
+                     (p2h, shifted), (plane, shifted_cocycle(3)),
+                     (AffineSemigroup([(4,), (6,)]), quantum_cocycle(1))]:
         a = TwistedAlgebra(s, alpha)
-        # a positive S keeps the pairs of the oracle's degree search
+        # a positive S, full or not, keeps the pairs of the oracle's degree search
         assert product_chain_torus_embedding(a) == a.torus_embedding()
 
 
