@@ -1,10 +1,10 @@
 """Finitely generated affine semigroups and their ring-theoretic reports.
 
 An AffineSemigroup is a finite generating set inside Z^(n+1).  Membership is
-decided by exact search (complete whenever the cone is pointed), normality by
-comparing against the Hilbert basis of the saturation, and the regularity
-report turns polyhedral certificates into exact Cohen-Macaulay / Gorenstein /
-regular / maximal-order decisions.
+decided by exact search on a pointed cone (a cone with a line is refused with
+a certificate), normality by comparing against the Hilbert basis of the
+saturation, and the regularity report turns polyhedral certificates into
+exact Cohen-Macaulay / Gorenstein / regular / maximal-order decisions.
 """
 
 from __future__ import annotations
@@ -33,24 +33,22 @@ MAX_WITNESS_SUMMANDS = 1_000_000
 
 @dataclass(frozen=True)
 class Membership:
-    """Decision for one membership query.
+    """Decision for one membership query; a negative decision is a proof.
 
     ``witness`` is a sorted tuple of generator indices summing to the query
-    vector.  ``complete`` records whether a negative answer is a proof (the
-    search space was exhausted) or only bounded evidence.
+    vector, or None on a negative decision.
     """
 
     member: bool
     witness: tuple[int, ...] | None
-    complete: bool
-    bound: int | None = None
 
 
 class AffineSemigroup:
     """Subsemigroup of (Z^(n+1), +) given by finitely many nonzero generators.
 
-    Pointedness, the pointed membership search, the facets, normality and
-    the regularity report all read one double-description pass (``_cone``).
+    Pointedness, the membership search of a non-positive S, the facets,
+    normality and the regularity report all read one double-description pass
+    (``_cone``); a positive S needs none to be pointed or searched.
     """
 
     def __init__(self, generators: Sequence[Sequence[int]], ambient_dim: int | None = None):
@@ -94,104 +92,85 @@ class AffineSemigroup:
         return f"AffineSemigroup([{gens}], dim={self.ambient_dim})"
 
     @cached_property
-    def _cone(self) -> ConePass:
-        """The one cone pass over the generators' coordinates in G(S), which span it;
-        ``ConePass`` charges the size limits on its distinct rays before the work."""
-        return ConePass([self.group.coordinates(g) for g in self.generators], self.rank)
+    def _coordinates(self) -> list[IntVec]:
+        """The generators' coordinates in G(S), which they span."""
+        return [self.group.coordinates(g) for g in self.generators]
 
     @cached_property
-    def _pointed(self):
-        """(generators, inner normals, their sum) in coordinates of G(S), or None with a line.
+    def _cone(self) -> ConePass:
+        """The one cone pass over ``_coordinates``; ``ConePass`` charges the
+        size limits on its distinct rays before the work."""
+        return ConePass(self._coordinates, self.rank)
 
-        The sum is strictly positive on every nonzero cone element, so the
-        membership search terminates even without coordinate positivity.
-        """
-        if self._cone.line is not None:
-            return None
-        normals = self._cone.normals
-        w = tuple(map(sum, zip(*normals)))
-        return [self.group.coordinates(g) for g in self.generators], normals, w
+    def _pointed_cone(self, need: str) -> ConePass:
+        """The cone pass, or a refusal of ``need`` certified by v, -v in the cone."""
+        cone = self._cone
+        if cone.line is not None:
+            raise PreconditionError(f"{need} needs a pointed cone: cone contains a line",
+                                    certificate=self.group.from_coordinates(cone.line))
+        return cone
 
     def is_pointed(self) -> bool:
-        return self.is_trivial() or self.positive or self._pointed is not None
+        return self.is_trivial() or self.positive or self._cone.line is None
 
     # -- membership --------------------------------------------------------
 
-    def membership(self, x: Sequence[int], bound: int | None = None) -> Membership:
-        """Decide x in S with a generator-multiset witness.
+    def membership(self, x: Sequence[int]) -> Membership:
+        """Decide x in S with a generator-multiset witness; a refutation is a proof.
 
-        Complete (refutations are proofs) when the cone is pointed; otherwise
-        an explicit ``bound`` on the number of summands is required and a
-        negative answer only covers that bound.
+        A positive S is searched in ambient coordinates, any other in those of
+        G(S); a cone with a line is refused as ``normality()`` refuses it.
         """
         x = as_vec(x)
         if len(x) != self.ambient_dim:
             raise DimensionError(f"expected dimension {self.ambient_dim}, got {len(x)}")
         if is_zero(x):
-            return Membership(True, (), True)
+            return Membership(True, ())
         if self.is_trivial():
-            return Membership(False, None, True)
-        # reuse only an answer to this query as asked: a complete search, or
-        # one bounded by the same bound; so no answer depends on earlier calls
+            return Membership(False, None)
         cached = self._member_cache.get(x)
-        if cached is not None and cached.bound in (None, bound):
+        if cached is not None:
             return cached
         if self.positive:
-            result = self._search(x, self.generators, sum,
-                                  lambda v: all(c >= 0 for c in v), None)
-        elif (pointed := self._pointed) is not None:
-            emb_gens, normals, w = pointed
+            result = self._search(x, self.generators, lambda v: all(c >= 0 for c in v))
+        else:
+            normals = self._pointed_cone("membership").normals
             target = self.group.coordinates(x)
             if target is None:
-                result = Membership(False, None, True)
+                result = Membership(False, None)
             else:
-                result = self._search(target, emb_gens, lambda v: vdot(w, v),
-                                      lambda v: all(vdot(n, v) >= 0 for n in normals), None)
-        else:
-            if bound is None:
-                raise PreconditionError(
-                    "semigroup cone contains a line; membership search needs an "
-                    "explicit bound on the number of summands")
-            gens = list(self.generators)
-            result = self._search(x, gens, lambda v: 0, lambda v: True, bound)
+                result = self._search(target, self._coordinates,
+                                      lambda v: all(vdot(n, v) >= 0 for n in normals))
         self._member_cache[x] = result
         return result
 
     @staticmethod
-    def _search(target, gens, weight, inside, depth_bound):
+    def _search(target, gens, inside):
         """Exhaustive subtraction search over generator multisets.
 
-        A state (v, max_idx) may still subtract gens[0..max_idx].  The last
+        A state (v, max_idx) may still subtract gens[0..max_idx], and only
+        into an ``inside`` state.  It terminates: a linear form, the
+        coordinate sum on a positive S and the sum of the inner normals on a
+        pointed one, is at least 1 on every generator, so it falls at each
+        step, and it is nonnegative on every state ``inside`` admits.  The last
         level, max_idx == 0, is decided in closed form: only gens[0] is left,
         so v is reached iff v = m * gens[0] for an integer m >= 1, and the
         witness is the path plus m zeros.  That is what subtracting gens[0]
         one summand at a time decides: every state (m - j) * gens[0] on the
-        way lies in the cone, so it passes ``weight >= 0`` and ``inside``, and
-        a non-multiple never reaches zero.  Under a depth bound, a
-        non-multiple or an m beyond the remaining depth marks the search
-        limited, as the depth cut would.  An m beyond ``MAX_WITNESS_SUMMANDS``
-        is refused before the witness is built.  ``failed`` maps a failed state
-        to the most summands it had left (0 in a complete search); a state is
-        skipped only with no more left now, as its search is then part of one
-        that failed.
+        way lies in the cone, so it passes ``inside``, and a non-multiple
+        never reaches zero.  An m beyond ``MAX_WITNESS_SUMMANDS`` is refused
+        before the witness is built.  ``failed`` holds the failed states.
         """
-        failed: dict = {}
-        limited = False
+        failed: set = set()
         g0 = gens[0]
         lead = next(i for i, c in enumerate(g0) if c != 0)
 
-        def rec(v, max_idx, depth, path):
-            nonlocal limited
+        def rec(v, max_idx, path):
             if all(c == 0 for c in v):
                 return tuple(sorted(path))
-            if depth_bound is not None and depth >= depth_bound:
-                limited = True
-                return None
             if max_idx == 0:
                 m, r = divmod(v[lead], g0[lead])
-                if r or m < 1 or any(a != m * b for a, b in zip(v, g0)) or (
-                        depth_bound is not None and m > depth_bound - depth):
-                    limited = True
+                if r or m < 1 or any(a != m * b for a, b in zip(v, g0)):
                     return None
                 if m > MAX_WITNESS_SUMMANDS:
                     raise SizeLimitError(
@@ -199,27 +178,22 @@ class AffineSemigroup:
                         f"{MAX_WITNESS_SUMMANDS}")
                 return tuple(sorted(path + [0] * m))
             key = (v, max_idx)
-            left = depth_bound - depth if depth_bound is not None else 0
-            if failed.get(key, -1) >= left:
+            if key in failed:
                 return None
             for i in range(max_idx + 1):
                 nxt = vsub(v, gens[i])
-                if weight(nxt) < 0 or not inside(nxt):
-                    continue
-                got = rec(nxt, i, depth + 1, path + [i])
-                if got is not None:
-                    return got
-            failed[key] = left
+                if inside(nxt):
+                    got = rec(nxt, i, path + [i])
+                    if got is not None:
+                        return got
+            failed.add(key)
             return None
 
         try:
-            witness = rec(tuple(target), len(gens) - 1, 0, [])
+            witness = rec(tuple(target), len(gens) - 1, [])
         finally:
             rec = None  # rec refers to itself; break that cycle so `failed` is freed now
-        if witness is not None:
-            return Membership(True, witness, True, depth_bound)
-        return Membership(False, None, not limited if depth_bound is not None else True,
-                          depth_bound)
+        return Membership(witness is not None, witness)
 
     def contains(self, x: Sequence[int]) -> bool:
         return self.membership(x).member
@@ -251,11 +225,7 @@ class AffineSemigroup:
         if self.is_trivial() or self.rank == 0:
             return NormalityCertificate(True, (), None, None)
         try:
-            cone = self._cone
-            if cone.line is not None:
-                raise PreconditionError(
-                    "normality needs a pointed cone: cone contains a line",
-                    certificate=self.group.from_coordinates(cone.line))
+            cone = self._pointed_cone("normality")
             hb = tuple(map(self.group.from_coordinates, sorted(cone.hilbert_basis())))
         except SizeLimitError as exc:
             # a size refusal is final for this semigroup: keep it

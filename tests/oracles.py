@@ -184,16 +184,48 @@ def brute_membership(generators, x) -> bool:
     return x in seen
 
 
-def walk_search(target, gens, weight, inside, depth_bound):
+def walk_search(target, gens, inside):
     """``AffineSemigroup._search`` as it was before its last level was closed.
 
     The same recursive subtraction search with the same generator order and
-    the depth-blind ``failed`` memo it had then, except that the state
-    max_idx == 0 walks v - j * gens[0] one summand at a time.  Install it
-    with ``staticmethod`` in place of ``_search`` to get its decisions.
+    ``failed`` memo, except that the state max_idx == 0 walks
+    v - j * gens[0] one summand at a time.  Install it with ``staticmethod``
+    in place of ``_search`` to get its decisions.
     """
     failed: set = set()
+
+    def rec(v, max_idx, path):
+        if all(c == 0 for c in v):
+            return tuple(sorted(path))
+        key = (v, max_idx)
+        if key in failed:
+            return None
+        for i in range(max_idx + 1):
+            nxt = tuple(a - b for a, b in zip(v, gens[i]))
+            if inside(nxt):
+                got = rec(nxt, i, path + [i])
+                if got is not None:
+                    return got
+        failed.add(key)
+        return None
+
+    witness = rec(tuple(target), len(gens) - 1, [])
+    return Membership(witness is not None, witness)
+
+
+def reference_search(target, gens, weight, inside, depth_bound):
+    """``AffineSemigroup._search`` as it was with its bounded mode.
+
+    The recursive subtraction search with the weight test, the depth bound
+    and a ``failed`` memo that maps a failed state to the most summands it
+    had left (0 without a bound); the last level is decided in closed form.
+    Returns (member, witness, complete): a negative answer is complete when
+    no branch was cut by the bound.
+    """
+    failed: dict = {}
     limited = False
+    g0 = gens[0]
+    lead = next(i for i, c in enumerate(g0) if c != 0)
 
     def rec(v, max_idx, depth, path):
         nonlocal limited
@@ -202,23 +234,51 @@ def walk_search(target, gens, weight, inside, depth_bound):
         if depth_bound is not None and depth >= depth_bound:
             limited = True
             return None
+        if max_idx == 0:
+            m, r = divmod(v[lead], g0[lead])
+            if r or m < 1 or any(a != m * b for a, b in zip(v, g0)) or (
+                    depth_bound is not None and m > depth_bound - depth):
+                limited = True
+                return None
+            return tuple(sorted(path + [0] * m))
         key = (v, max_idx)
-        if key in failed:
+        left = depth_bound - depth if depth_bound is not None else 0
+        if failed.get(key, -1) >= left:
             return None
         for i in range(max_idx + 1):
-            nxt = tuple(a - b for a, b in zip(v, gens[i]))
+            nxt = vsub(v, gens[i])
             if weight(nxt) < 0 or not inside(nxt):
                 continue
             got = rec(nxt, i, depth + 1, path + [i])
             if got is not None:
                 return got
-        failed.add(key)
+        failed[key] = left
         return None
 
     witness = rec(tuple(target), len(gens) - 1, 0, [])
-    member = witness is not None
-    return Membership(member, witness,
-                      member or not limited if depth_bound is not None else True, depth_bound)
+    if witness is not None:
+        return True, witness, True
+    return False, None, not limited if depth_bound is not None else True
+
+
+def reference_membership(s, x):
+    """The reference search's complete decision on a positive or pointed S:
+    ambient coordinates with the coordinate sum as weight on a positive S,
+    else coordinates of G(S) with the sum of the inner normals."""
+    if is_zero(x):
+        return Membership(True, ())
+    if s.positive:
+        target, gens, weight = x, s.generators, sum
+        inside = lambda v: all(c >= 0 for c in v)
+    else:
+        gens, normals, w = embedded_pointed_data(s)
+        target, weight = s.group.coordinates(x), lambda v: vdot(w, v)
+        inside = lambda v: all(vdot(n, v) >= 0 for n in normals)
+        if target is None:
+            return Membership(False, None)
+    member, witness, complete = reference_search(target, gens, weight, inside, None)
+    assert complete
+    return Membership(member, witness)
 
 
 def brute_members_by_degree(generators, degree):
@@ -624,13 +684,13 @@ def embedded_is_pointed(s):
 def embedded_membership(s, x):
     """A complete membership decision on a pointed, non-positive S."""
     if is_zero(x):
-        return Membership(True, (), True)
-    emb_gens, normals, w = embedded_pointed_data(s)
+        return Membership(True, ())
+    emb_gens, normals, _ = embedded_pointed_data(s)
     target = s.group.coordinates(x)
     if target is None:
-        return Membership(False, None, True)
-    return AffineSemigroup._search(target, emb_gens, lambda v: vdot(w, v),
-                                   lambda v: all(vdot(n, v) >= 0 for n in normals), None)
+        return Membership(False, None)
+    return AffineSemigroup._search(target, emb_gens,
+                                   lambda v: all(vdot(n, v) >= 0 for n in normals))
 
 
 def embedded_normality(s):

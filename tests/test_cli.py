@@ -429,6 +429,18 @@ def test_witness_beyond_the_summand_limit_exits_3(capsys):
                    "supported limit of 1000000\n")
 
 
+def test_membership_on_a_line_exits_3(capsys, tmp_path):
+    # multiply asks whether its factors lie in S; a cone with a line is
+    # refused with one error line, as normality refuses it
+    path = tmp_path / "line.model"
+    path.write_text("semigroup L gens=[[1,0],[-1,0],[0,1]]\n"
+                    "cocycle qplane dim=2 params=[q] bichar:q=[[0,0],[-1,0]]\n",
+                    encoding="utf-8")
+    rc, out, err = run(capsys, ["multiply", "L", "qplane", "0,1", "1,0"], model=str(path))
+    assert (rc, out) == (3, "")
+    assert err == "error: membership needs a pointed cone: cone contains a line\n"
+
+
 def test_twist_check_answers_on_a_non_positive_semigroup(capsys, tmp_path):
     # a unimodular image of A1 is not positive; its twisting system needs no
     # degree enumeration, so twist-check answers as it does on A1

@@ -1,4 +1,6 @@
+import dataclasses
 import gc
+import inspect
 import itertools
 import random
 import time
@@ -21,7 +23,7 @@ from .oracles import (all_posets_up_to, bounded_brute_membership, brute_members_
                       embedded_facets, embedded_is_pointed, embedded_membership,
                       embedded_normality, embedded_regularity_report,
                       facet_presentation_mismatch, gorenstein_candidate_works,
-                      h_star_is_palindromic, walk_search)
+                      h_star_is_palindromic, reference_membership, walk_search)
 from .test_lattice_geometry import small_cones
 
 SQUARE_CONE = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
@@ -48,11 +50,10 @@ def test_construction_errors():
 
 def test_membership_numerical(n23):
     m = n23.membership((7,))
-    assert m.member and m.complete
+    assert m.member
     assert sorted(n23.witness_vectors(m)) == [(2,), (2,), (3,)]
-    assert not n23.membership((1,)).member
-    assert n23.membership((1,)).complete  # refutation is a proof
-    assert n23.membership((0,)).member
+    assert n23.membership((1,)) == Membership(False, None)
+    assert n23.membership((0,)) == Membership(True, ())
 
 
 def test_membership_planar(a1):
@@ -73,45 +74,35 @@ def test_membership_pointed_non_positive():
     s = AffineSemigroup([(1, -1), (1, 1)])
     assert s.is_pointed() and not s.positive
     m = s.membership((2, 0))
-    assert m.member and m.complete
+    assert m.member
     assert sorted(s.witness_vectors(m)) == [(1, -1), (1, 1)]
-    assert not s.membership((0, 2)).member
-    assert s.membership((0, 2)).complete
+    assert s.membership((0, 2)) == Membership(False, None)
 
 
 def test_membership_with_a_line():
-    s = AffineSemigroup([(2,), (-2,)])
-    assert not s.is_pointed()
-    with pytest.raises(PreconditionError):
-        s.membership((4,))
-    assert s.membership((4,), bound=3).member
-    refused = s.membership((1,), bound=3)
-    assert not refused.member
-    assert not refused.complete  # bounded search cannot refute
-
-
-def answer(s, x, bound):
-    """A membership decision, or the message of its refusal."""
-    try:
-        return s.membership(x, bound=bound)
-    except PreconditionError as exc:
-        return str(exc)
-
-
-def test_bounded_membership_does_not_depend_on_earlier_queries():
-    # a memoized answer is reused only for the query it answers: a 5-summand
-    # witness found under bound 10 does not answer the same query under bound 3
-    s = AffineSemigroup([(1,), (-1,)])
-    s.membership((5,), bound=10)
-    assert s.membership((5,), bound=3) == Membership(False, None, False, 3)
-    for gens in ([(1,), (-1,)], [(2,), (-3,)], [(1, 0), (1, 2)]):
+    # a cone with a line is refused as normality() refuses it, not as a size
+    # refusal, and with the same certificate v: v pairs to 0 with every inner
+    # normal, so v and -v both lie in the cone
+    for gens, x in (([(2,), (-2,)], (4,)), ([(1, 0), (-1, 0), (0, 1)], (0, 1))):
         s = AffineSemigroup(gens)
-        dim = len(gens[0])
-        queries = [((5,) * dim, b) for b in (10, 3, None, 5, 10, 3, 4)]
-        queries += [((0,) * dim, 2), ((1,) * dim, 1), ((1,) * dim, None)]
-        for x, bound in queries + queries[::-1]:
-            assert answer(s, x, bound) == answer(AffineSemigroup(gens), x, bound), \
-                (gens, x, bound)
+        assert not s.is_pointed()
+        with pytest.raises(PreconditionError) as exc:
+            s.membership(x)
+        assert not isinstance(exc.value, SizeLimitError)
+        assert str(exc.value).startswith(
+            "membership needs a pointed cone: cone contains a line"), gens
+        with pytest.raises(PreconditionError) as by_normality:
+            s.normality()
+        v = exc.value.certificate
+        assert any(v) and v == by_normality.value.certificate, gens
+        assert all(vdot(f.inner_normal, v) == 0 for f in cone_facets(s.cone)), gens
+
+
+def test_membership_api_has_no_bound():
+    assert list(inspect.signature(AffineSemigroup.membership).parameters) == ["self", "x"]
+    assert [f.name for f in dataclasses.fields(Membership)] == ["member", "witness"]
+    with pytest.raises(TypeError):
+        AffineSemigroup([(2,), (-2,)]).membership((4,), bound=3)
 
 
 def test_membership_matches_brute_force(a1, nonnorm_gap, nonnorm_half):
@@ -159,13 +150,13 @@ def _walk_answers(gens, queries):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(AffineSemigroup, "_search", staticmethod(walk_search))
         s = AffineSemigroup(gens)
-        return [s.membership(x, bound) for x, bound in queries]
+        return [s.membership(x) for x in queries]
 
 
 def test_membership_matches_the_walk_search():
-    # complete answers equal the walk's; a bounded search finds every member
-    # the walk finds (it may find more, or another witness, where the walk's
-    # depth-blind memo cut a branch), each witness summing to x within bound
+    # each answer is the reference search's complete answer, with its weight
+    # test, depth bound and summands-left memo, and the walk's: the same
+    # decision and the same witness; a cone with a line is refused
     rng = random.Random(23)
     done = {"positive": 0, "pointed": 0, "line": 0}
     while min(done.values()) < 15:
@@ -178,49 +169,17 @@ def test_membership_matches_the_walk_search():
         if s.is_pointed() == (kind == "line") or s.positive != (kind == "positive"):
             continue
         low = 0 if kind == "positive" else -8
-        queries = [(tuple(rng.randint(low, 15) for _ in range(dim)),
-                    rng.randint(1, 7) if kind == "line" else None) for _ in range(30)]
-        for (x, bound), got, old in zip(queries, [s.membership(x, b) for x, b in queries],
-                                        _walk_answers(gens, queries)):
-            if bound is None or not got.member:
-                assert got == old, (gens, x, bound)
-            else:
-                assert len(got.witness) <= bound and got.complete
-                summands = s.witness_vectors(got)
-                assert tuple(sum(g[c] for g in summands) for c in range(dim)) == x, (gens, x)
+        queries = [tuple(rng.randint(low, 15) for _ in range(dim)) for _ in range(30)]
+        if kind == "line":
+            for x in queries:
+                if any(x):
+                    with pytest.raises(PreconditionError, match="^membership needs a pointed"):
+                        s.membership(x)
+        else:
+            for x, got, old in zip(queries, [s.membership(x) for x in queries],
+                                   _walk_answers(gens, queries)):
+                assert got == reference_membership(s, x) == old, (gens, x)
         done[kind] += 1
-
-
-def test_bounded_search_finds_the_witness_the_walk_missed():
-    # the walk recorded (-4,) with only (-2,) left as failed at depth 3, under
-    # (-5,) - (3,); met again at depth 2, under (-5,) - (1,), it was refused
-    # from the memo although its two summands fit the bound
-    gens, x = [(-2,), (3,), (1,)], (-5,)
-    assert _walk_answers(gens, [(x, 4)]) == [Membership(False, None, False, 4)]
-    assert AffineSemigroup(gens).membership(x, bound=4) == Membership(True, (0, 0, 0, 2), True, 4)
-
-
-def test_bounded_search_matches_brute_force_on_lines():
-    # the failure memo keeps the most summands a state failed with, so a
-    # bounded search finds every member with a witness within the bound; a
-    # depth-blind memo answered (False, None, False, 4) on the first query
-    s = AffineSemigroup([(-2,), (2,), (-3,), (-1,)])
-    assert s.membership((5,), bound=4) == Membership(True, (1, 1, 1, 3), True, 4)
-    values = [v for v in range(-3, 4) if v]
-    for k in (2, 3, 4):
-        for gens in itertools.permutations(values, k):
-            if min(gens) > 0 or max(gens) < 0:
-                continue
-            s = AffineSemigroup([(g,) for g in gens])
-            for bound in range(1, 5):
-                for x in range(-6, 7):
-                    got = s.membership((x,), bound=bound)
-                    if got.member:
-                        assert len(got.witness) <= bound
-                        assert sum(gens[i] for i in got.witness) == x
-                    else:
-                        assert not bounded_brute_membership([(g,) for g in gens], (x,), bound), \
-                            (gens, x, bound)
 
 
 def _outcome(fn):

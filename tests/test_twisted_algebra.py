@@ -272,7 +272,7 @@ def test_torus_embedding_matches_the_coordinate_copy_on_drawn_sublattices(data):
     assume(all(any(g) for g in gens))
     s = AffineSemigroup(gens)
     assume(not s.is_full() and not s.positive and not coordinate_copy(s).positive)
-    assume(s.is_pointed())  # the pairs' membership is decided without a bound
+    assume(s.is_pointed())  # membership refuses a cone with a line
     params = data.draw(st.sampled_from([("q",), ("q", "r")]))
     alpha = Cocycle.bicharacter(
         dim, {p: data.draw(st.lists(entries(dim, -2, 2), min_size=dim, max_size=dim))
