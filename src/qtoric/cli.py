@@ -16,6 +16,7 @@ import argparse
 import hashlib
 import itertools
 import os
+import re
 import sys
 
 from .errors import ModelParseError, QtoricError, VerificationError
@@ -27,6 +28,10 @@ from .semigroups import decompose, hilbert_function, regularity_report
 from .twisted_algebra import TwistedAlgebra
 
 DEFAULT_BOUND = 6
+# argparse reads a token that starts with "-" and is not a plain negative
+# number as an option, so a vector such as -2,1 never reaches its argument;
+# main passes it in its bracket form [-2,1], the same vector.
+_NEGATIVE_VECTOR = re.compile(r"-\d+(,-?\d+)+")
 
 
 class _CliUsage(Exception):
@@ -436,7 +441,8 @@ def main(argv=None) -> int:
     global _parser
     if _parser is None:
         _parser = build_parser()
-    args = _parser.parse_args(argv)
+    args = _parser.parse_args([f"[{a}]" if _NEGATIVE_VECTOR.fullmatch(a) else a
+                               for a in (sys.argv[1:] if argv is None else argv)])
     try:
         digest, model = _read_model(args.model)
         if args.self_check_corrupt:

@@ -1,10 +1,14 @@
 """Finitely generated affine semigroups and their ring-theoretic reports.
 
 An AffineSemigroup is a finite generating set inside Z^(n+1).  Membership is
-decided by exact search on a pointed cone (a cone with a line is refused with
-a certificate), normality by comparing against the Hilbert basis of the
-saturation, and the regularity report turns polyhedral certificates into
-exact Cohen-Macaulay / Gorenstein / regular / maximal-order decisions.
+decided by one exact search on heights, linear forms on G(S) that are
+nonnegative on S: the ambient coordinates of a positive S, the inner facet
+normals of any other pointed one (a cone with a line is refused with a
+certificate); a vector outside G(S) is refuted before any search.  Normality
+is decided by comparing against the Hilbert basis of the saturation, facet
+semigroups read the facets of the one cone pass, and the regularity report
+turns polyhedral certificates into exact Cohen-Macaulay / Gorenstein /
+regular / maximal-order decisions.
 """
 
 from __future__ import annotations
@@ -12,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
+from operator import mul, sub
 from typing import Sequence
 
 from . import linalg
@@ -29,6 +34,10 @@ MAX_DEGREE_POINTS = 1_000_000
 # so a multiple of one generator beyond this many summands is refused before
 # its list is built.
 MAX_WITNESS_SUMMANDS = 1_000_000
+# A non-normal S has a Hilbert-basis element h of its saturation outside S;
+# normality() then searches p = 2, 3, ... for the least p with p * h in S,
+# and refuses a p beyond this many.
+MAX_NORMALITY_MULTIPLE = 10_000
 
 
 @dataclass(frozen=True)
@@ -46,9 +55,9 @@ class Membership:
 class AffineSemigroup:
     """Subsemigroup of (Z^(n+1), +) given by finitely many nonzero generators.
 
-    Pointedness, the membership search of a non-positive S, the facets,
-    normality and the regularity report all read one double-description pass
-    (``_cone``); a positive S needs none to be pointed or searched.
+    Pointedness, the heights of a non-positive S, the facets, normality and
+    the regularity report all read one double-description pass (``_cone``);
+    a positive S needs none to be pointed or searched.
     """
 
     def __init__(self, generators: Sequence[Sequence[int]], ambient_dim: int | None = None):
@@ -115,11 +124,27 @@ class AffineSemigroup:
 
     # -- membership --------------------------------------------------------
 
+    @cached_property
+    def _heights(self) -> tuple[Sequence[IntVec], Sequence[IntVec]]:
+        """Linear forms on G(S), nonnegative on S and injective on G(S), and
+        the generators' values under them.
+
+        A positive S takes its ambient coordinates, the columns of the
+        Hermite basis of G(S), so it needs no cone pass; any other S takes
+        the inner normals of ``_cone``, which span the dual of G(S) exactly
+        when the cone is pointed.  A cone with a line is refused.
+        """
+        if self.positive:
+            return linalg.transpose(self.group.basis), self.generators
+        normals = self._pointed_cone("membership").normals
+        return normals, [tuple(vdot(n, k) for n in normals) for k in self._coordinates]
+
     def membership(self, x: Sequence[int]) -> Membership:
         """Decide x in S with a generator-multiset witness; a refutation is a proof.
 
-        A positive S is searched in ambient coordinates, any other in those of
-        G(S); a cone with a line is refused as ``normality()`` refuses it.
+        x is refuted when it has no coordinates in G(S); otherwise its heights
+        are searched.  A cone with a line is refused, before that test, as
+        ``normality()`` refuses it.
         """
         x = as_vec(x)
         if len(x) != self.ambient_dim:
@@ -131,42 +156,40 @@ class AffineSemigroup:
         cached = self._member_cache.get(x)
         if cached is not None:
             return cached
-        if self.positive:
-            result = self._search(x, self.generators, lambda v: all(c >= 0 for c in v))
+        forms, images = self._heights
+        coords = self.group.coordinates(x)
+        if coords is None:
+            result = Membership(False, None)
         else:
-            normals = self._pointed_cone("membership").normals
-            target = self.group.coordinates(x)
-            if target is None:
-                result = Membership(False, None)
-            else:
-                result = self._search(target, self._coordinates,
-                                      lambda v: all(vdot(n, v) >= 0 for n in normals))
+            result = self._search(tuple(sum(map(mul, f, coords)) for f in forms), images)
         self._member_cache[x] = result
         return result
 
     @staticmethod
-    def _search(target, gens, inside):
-        """Exhaustive subtraction search over generator multisets.
+    def _search(target, gens):
+        """Exhaustive subtraction search over generator multisets, on heights.
 
         A state (v, max_idx) may still subtract gens[0..max_idx], and only
-        into an ``inside`` state.  It terminates: a linear form, the
-        coordinate sum on a positive S and the sum of the inner normals on a
-        pointed one, is at least 1 on every generator, so it falls at each
-        step, and it is nonnegative on every state ``inside`` admits.  The last
-        level, max_idx == 0, is decided in closed form: only gens[0] is left,
-        so v is reached iff v = m * gens[0] for an integer m >= 1, and the
-        witness is the path plus m zeros.  That is what subtracting gens[0]
-        one summand at a time decides: every state (m - j) * gens[0] on the
-        way lies in the cone, so it passes ``inside``, and a non-multiple
-        never reaches zero.  An m beyond ``MAX_WITNESS_SUMMANDS`` is refused
-        before the witness is built.  ``failed`` holds the failed states.
+        into a state with no negative entry.  It terminates: every generator
+        is nonzero with no negative entry, so the coordinate sum is at least
+        1 on it, falls at each step and is nonnegative on every state that is
+        admitted.  The last level, max_idx == 0, is decided in closed form:
+        only gens[0] is left, so v is reached iff v = m * gens[0] for an
+        integer m >= 1, and the witness is the path plus m zeros.  That is
+        what subtracting gens[0] one summand at a time decides: every state
+        (m - j) * gens[0] on the way has no negative entry, and a
+        non-multiple never reaches zero.  An m beyond ``MAX_WITNESS_SUMMANDS``
+        is refused before the witness is built.  ``failed`` holds the failed
+        states.  The heights are injective on G(S), so this search decides
+        x in S with the same states, in the same order, as a search in any
+        coordinates of G(S).
         """
         failed: set = set()
         g0 = gens[0]
         lead = next(i for i, c in enumerate(g0) if c != 0)
 
         def rec(v, max_idx, path):
-            if all(c == 0 for c in v):
+            if not any(v):
                 return tuple(sorted(path))
             if max_idx == 0:
                 m, r = divmod(v[lead], g0[lead])
@@ -181,8 +204,8 @@ class AffineSemigroup:
             if key in failed:
                 return None
             for i in range(max_idx + 1):
-                nxt = vsub(v, gens[i])
-                if inside(nxt):
+                nxt = tuple(map(sub, v, gens[i]))
+                if min(nxt) >= 0:
                     got = rec(nxt, i, path + [i])
                     if got is not None:
                         return got
@@ -212,33 +235,36 @@ class AffineSemigroup:
         S is normal iff every Hilbert-basis element of (cone ∩ group) belongs
         to S.  On failure the certificate carries g in the group with g not in
         S but p*g in S.  A cone with a line is refused with a certificate v in
-        Z^(n+1), v and -v in the cone.  A ``SizeLimitError`` of the cone pass
-        passes through and is kept, so a repeated call refuses at once.
+        Z^(n+1), v and -v in the cone.  A ``SizeLimitError``, of the cone pass
+        or of a least p beyond ``MAX_NORMALITY_MULTIPLE``, passes through and
+        is kept, so a repeated call refuses at once.
         """
         if self._normality_refusal is not None:
             raise self._normality_refusal
         if self._normality_cache is None:
-            self._normality_cache = self._normality()
+            try:
+                self._normality_cache = self._normality()
+            except SizeLimitError as exc:
+                # a size refusal is final for this semigroup: keep it
+                self._normality_refusal = exc
+                raise
         return self._normality_cache
 
     def _normality(self) -> "NormalityCertificate":
         if self.is_trivial() or self.rank == 0:
             return NormalityCertificate(True, (), None, None)
-        try:
-            cone = self._pointed_cone("normality")
-            hb = tuple(map(self.group.from_coordinates, sorted(cone.hilbert_basis())))
-        except SizeLimitError as exc:
-            # a size refusal is final for this semigroup: keep it
-            self._normality_refusal = exc
-            raise
+        cone = self._pointed_cone("normality")
+        hb = tuple(map(self.group.from_coordinates, sorted(cone.hilbert_basis())))
         for g in hb:
             if not self.contains(g):
                 p = 2
                 while not self.contains(tuple(p * c for c in g)):
                     p += 1
-                    if p > 10_000:
-                        raise VerificationError(
-                            "no small multiple of a Hilbert-basis element lies in S")
+                    if p > MAX_NORMALITY_MULTIPLE:
+                        raise SizeLimitError(
+                            f"no multiple p * {list(g)} with p <= {MAX_NORMALITY_MULTIPLE} "
+                            f"lies in S; the least p exceeds the supported limit of "
+                            f"{MAX_NORMALITY_MULTIPLE}")
                 return NormalityCertificate(False, hb, g, p)
         return NormalityCertificate(True, hb, None, None)
 
@@ -323,44 +349,34 @@ class FacetSemigroup:
 def facet_subsemigroup(semigroup: AffineSemigroup, facet: Facet) -> FacetSemigroup:
     """Build S_tau for a facet of a normal, full semigroup.
 
-    The unit basis comes from the Hermite form of the facet-incident
-    generators; if those do not generate the full hyperplane lattice the
-    basis is completed from the integer kernel and flagged.  The presentation
-    Z.units + N.positive_generators equals the half-space {<n_tau, x> >= 0}
-    exactly, by a certificate: the unit lattice is the kernel lattice of
-    n_tau, the transversal pairs to 1, and some positive generator g has
-    height 1, so x - <n_tau, x> * g is a unit for every x in the half-space.
-    (A normal full S always has such a g.)
+    The facet's inner normal n must be one of the cone pass's normals, which
+    are in ambient coordinates since G(S) = Z^(n+1).  The unit basis is the
+    Hermite basis of the kernel lattice of n, and the transversal pairs to 1
+    with n, which it can: a pass normal is primitive.  The presentation
+    Z.units + N.positive_generators equals the half-space {<n, x> >= 0}
+    exactly, because some generator g has height 1, so x - <n, x> * g is a
+    unit for every x in the half-space.  Such a g exists: for y the sum of
+    the generators on the facet, which lies in its relative interior, and the
+    transversal t, t + k * y lies in the cone for k large, so in S, which is
+    normal; its height is 1, a sum of generator heights >= 0.
+    ``used_auxiliary_basis`` says whether the incident generators span a
+    lattice other than the units; a Hermite basis is unique, so comparing
+    the two bases decides it.
     """
     semigroup.require_normal()
     if not semigroup.is_full():
         raise PreconditionError("facet semigroups need a full semigroup")
     n_vec = facet.inner_normal
-    gens = semigroup.generators
-    pairings = [vdot(n_vec, g) for g in gens]
-    if any(p < 0 for p in pairings):
-        raise PreconditionError("inner normal is negative on a generator; not a facet")
-    incident = [g for g, p in zip(gens, pairings) if p == 0]
-    positive = tuple(g for g, p in zip(gens, pairings) if p > 0)
+    if n_vec not in semigroup._cone.normals:
+        raise PreconditionError(f"{list(n_vec)} is not the inner normal of a facet of S")
     d = semigroup.ambient_dim
-    kernel = linalg.kernel_basis([n_vec], d)
-    kernel_lat = lattice_of(kernel, d)
-    incident_lat = lattice_of(incident, d)
-    if incident_lat.rank == d - 1 and incident_lat.same_lattice(kernel_lat):
-        unit_basis = incident_lat.basis
-        auxiliary = False
-    else:
-        unit_basis = kernel_lat.basis
-        auxiliary = True
-    transversal = linalg.solve_integer([n_vec], [1])
-    if transversal is None:
-        raise VerificationError("facet normal is not primitive")
-    if 1 not in pairings:
-        raise VerificationError(
-            f"no generator has height 1 over {list(n_vec)}; the presentation "
-            "is not the half-space")
-    return FacetSemigroup(facet, d, tuple(unit_basis), tuple(transversal), positive,
-                          auxiliary)
+    pairings = [vdot(n_vec, g) for g in semigroup.generators]
+    incident = [g for g, p in zip(semigroup.generators, pairings) if p == 0]
+    positive = tuple(g for g, p in zip(semigroup.generators, pairings) if p > 0)
+    unit_basis = lattice_of(linalg.kernel_basis([n_vec], d), d).basis
+    transversal = tuple(linalg.solve_integer([n_vec], [1]))
+    return FacetSemigroup(facet, d, unit_basis, transversal, positive,
+                          lattice_of(incident, d).basis != unit_basis)
 
 
 @dataclass(frozen=True)

@@ -239,7 +239,7 @@ class TwistedAlgebra:
             raise PreconditionError("torus embedding starts from a semigroup algebra")
         s_gp = self.domain
         alpha, dim, gens, basis = self.cocycle, self.dim, s_gp.generators, s_gp.group.basis
-        coords = [s_gp.group.coordinates(g) for g in gens]
+        coords = s_gp._coordinates
         pairs: list[tuple[IntVec, IntVec]] = []
         for i, b_i in enumerate(basis):
             walk = _lex_members(s_gp, PAIR_SEARCH_DEGREE) if s_gp.positive else ()

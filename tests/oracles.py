@@ -13,7 +13,7 @@ from math import gcd
 import sympy
 from sympy.matrices.normalforms import hermite_normal_form
 
-from qtoric import (AffineSemigroup, Cone, Membership, ModelParseError,
+from qtoric import (AffineSemigroup, Cone, FacetSemigroup, Membership, ModelParseError,
                     NormalityCertificate, PreconditionError, QtoricError, RegularityReport,
                     Scalar, SizeLimitError, StandardWord, Sublattice, TorusEmbedding,
                     TwistedAlgebra, TwistedElement, VerificationError, are_cohomologous,
@@ -21,7 +21,8 @@ from qtoric import (AffineSemigroup, Cone, Membership, ModelParseError,
                     regularity_report)
 from qtoric import model as model_module
 from qtoric.lattice_algebras import algebra_report
-from qtoric.lattice_geometry import Facet, is_zero, primitive, vadd, vdot, vneg, vsub
+from qtoric.lattice_geometry import (Facet, is_zero, lattice_of, primitive, vadd, vdot, vneg,
+                                     vsub)
 
 
 def check_cone_limits(n_gens, dim):
@@ -184,11 +185,11 @@ def brute_membership(generators, x) -> bool:
     return x in seen
 
 
-def walk_search(target, gens, inside):
+def walk_search(target, gens):
     """``AffineSemigroup._search`` as it was before its last level was closed.
 
-    The same recursive subtraction search with the same generator order and
-    ``failed`` memo, except that the state max_idx == 0 walks
+    The same recursive subtraction search on heights with the same generator
+    order and ``failed`` memo, except that the state max_idx == 0 walks
     v - j * gens[0] one summand at a time.  Install it with ``staticmethod``
     in place of ``_search`` to get its decisions.
     """
@@ -202,7 +203,7 @@ def walk_search(target, gens, inside):
             return None
         for i in range(max_idx + 1):
             nxt = tuple(a - b for a, b in zip(v, gens[i]))
-            if inside(nxt):
+            if all(c >= 0 for c in nxt):
                 got = rec(nxt, i, path + [i])
                 if got is not None:
                     return got
@@ -639,6 +640,41 @@ def facet_presentation_mismatch(fs, bound):
     return None
 
 
+def reference_facet_subsemigroup(semigroup, facet):
+    """``facet_subsemigroup`` as it was before it checked the facet against
+    the cone pass: it refused a normal negative on a generator, took the
+    incident generators' Hermite basis when they span the kernel lattice of
+    the normal and that lattice's basis otherwise, and raised
+    ``VerificationError`` on a non-primitive normal or with no generator of
+    height 1."""
+    semigroup.require_normal()
+    if not semigroup.is_full():
+        raise PreconditionError("facet semigroups need a full semigroup")
+    n_vec = facet.inner_normal
+    gens = semigroup.generators
+    pairings = [vdot(n_vec, g) for g in gens]
+    if any(p < 0 for p in pairings):
+        raise PreconditionError("inner normal is negative on a generator; not a facet")
+    incident = [g for g, p in zip(gens, pairings) if p == 0]
+    positive = tuple(g for g, p in zip(gens, pairings) if p > 0)
+    d = semigroup.ambient_dim
+    kernel_lat = lattice_of(linalg.kernel_basis([n_vec], d), d)
+    incident_lat = lattice_of(incident, d)
+    if incident_lat.rank == d - 1 and incident_lat.same_lattice(kernel_lat):
+        unit_basis, auxiliary = incident_lat.basis, False
+    else:
+        unit_basis, auxiliary = kernel_lat.basis, True
+    transversal = linalg.solve_integer([n_vec], [1])
+    if transversal is None:
+        raise VerificationError("facet normal is not primitive")
+    if 1 not in pairings:
+        raise VerificationError(
+            f"no generator has height 1 over {list(n_vec)}; the presentation "
+            "is not the half-space")
+    return FacetSemigroup(facet, d, tuple(unit_basis), tuple(transversal), positive,
+                          auxiliary)
+
+
 def decomposition_mismatch(generators, normals, bound):
     """The composition loop: first x in N^d with coordinate sum <= bound where
     membership in S (breadth-first) and in every facet half-space disagree,
@@ -682,15 +718,16 @@ def embedded_is_pointed(s):
 
 
 def embedded_membership(s, x):
-    """A complete membership decision on a pointed, non-positive S."""
+    """A complete membership decision on a pointed, non-positive S: the search
+    on the heights under the normals of a fresh ``cone_facets`` pass."""
     if is_zero(x):
         return Membership(True, ())
     emb_gens, normals, _ = embedded_pointed_data(s)
     target = s.group.coordinates(x)
     if target is None:
         return Membership(False, None)
-    return AffineSemigroup._search(target, emb_gens,
-                                   lambda v: all(vdot(n, v) >= 0 for n in normals))
+    heights = lambda v: tuple(vdot(n, v) for n in normals)
+    return AffineSemigroup._search(heights(target), [heights(g) for g in emb_gens])
 
 
 def embedded_normality(s):

@@ -462,3 +462,36 @@ def test_invalid_utf8_model_exits_3(capsys, tmp_path):
     assert (rc, out) == (3, "")
     assert err == ("error: 'utf-8' codec can't decode byte 0xff in position 23: "
                    "invalid start byte\n")
+
+
+def test_normality_multiple_beyond_the_limit_exits_3(capsys, tmp_path):
+    # the least p with p * (1,) in S is 10001, beyond the normality limit: a
+    # size refusal (exit 3), not an internal verification failure (exit 4)
+    path = tmp_path / "far.model"
+    path.write_text("semigroup F gens=[[10001],[10002]]\n", encoding="utf-8")
+    rc, out, err = run(capsys, ["normal", "F"], model=str(path))
+    assert (rc, out) == (3, "")
+    assert err == ("error: no multiple p * [1] with p <= 10000 lies in S; the least p "
+                   "exceeds the supported limit of 10000\n")
+
+
+def test_negative_vectors_parse_as_their_bracket_form(capsys, tmp_path):
+    # a vector that starts with "-" is a vector, not an option
+    path = tmp_path / "negative.model"
+    path.write_text("semigroup U1 gens=[[1,0],[-2,1],[-5,2]]\n"
+                    "semigroup M gens=[[-1,0],[0,-1]]\n"
+                    "cocycle qplane dim=2 params=[q] bichar:q=[[0,0],[-1,0]]\n",
+                    encoding="utf-8")
+    for name, left, right in (("U1", "1,0", "-2,1"), ("M", "-2,-1", "-1,0"),
+                              ("U1", "-2,-1", "1,0")):
+        plain = run(capsys, ["multiply", name, "qplane", left, right], model=str(path))
+        bracket = run(capsys, ["multiply", name, "qplane", f"[{left}]", f"[{right}]"],
+                      model=str(path))
+        assert plain == bracket, (name, left, right)
+    assert run(capsys, ["multiply", "M", "qplane", "-2,-1", "-1,0"], model=str(path))[:2] == (
+        0, "command = multiply\n"
+        f"model_sha256 = {hashlib.sha256(path.read_bytes()).hexdigest()}\n"
+        "semigroup = M\ncocycle = qplane\nleft = [-2,-1]\nright = [-1,0]\n"
+        "product = q^-1*X[-3, -1]\n")
+    rc, out, err = run(capsys, ["multiply", "U1", "qplane", "-2,-1", "1,0"], model=str(path))
+    assert (rc, out) == (3, "")

@@ -7,7 +7,7 @@ import time
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from qtoric import (AffineSemigroup, Cone, DimensionError, Facet, FacetSemigroup,
                     Membership, NotNormalError, PreconditionError, QtoricError, SizeLimitError,
@@ -15,7 +15,7 @@ from qtoric import (AffineSemigroup, Cone, DimensionError, Facet, FacetSemigroup
                     facet_subsemigroup, hilbert_basis, hilbert_function,
                     lattice_geometry, linalg, load_model, regularity_report)
 from qtoric.lattice_geometry import vdot
-from qtoric.semigroups import MAX_WITNESS_SUMMANDS
+from qtoric.semigroups import MAX_NORMALITY_MULTIPLE, MAX_WITNESS_SUMMANDS
 
 from .oracles import (all_posets_up_to, bounded_brute_membership, brute_members_by_degree,
                       brute_membership, brute_normality_witness, checked_regularity_report,
@@ -23,7 +23,8 @@ from .oracles import (all_posets_up_to, bounded_brute_membership, brute_members_
                       embedded_facets, embedded_is_pointed, embedded_membership,
                       embedded_normality, embedded_regularity_report,
                       facet_presentation_mismatch, gorenstein_candidate_works,
-                      h_star_is_palindromic, reference_membership, walk_search)
+                      h_star_is_palindromic, reference_facet_subsemigroup,
+                      reference_membership, walk_search)
 from .test_lattice_geometry import small_cones
 
 SQUARE_CONE = [(1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1)]
@@ -156,19 +157,21 @@ def _walk_answers(gens, queries):
 def test_membership_matches_the_walk_search():
     # each answer is the reference search's complete answer, with its weight
     # test, depth bound and summands-left memo, and the walk's: the same
-    # decision and the same witness; a cone with a line is refused
+    # decision and the same witness; a cone with a line is refused.  On a
+    # positive, non-full S many queries lie outside G(S)
     rng = random.Random(23)
-    done = {"positive": 0, "pointed": 0, "line": 0}
+    done = {"positive": 0, "positive non-full": 0, "pointed": 0, "line": 0}
     while min(done.values()) < 15:
         kind = rng.choice(sorted(done))
         dim = rng.randint(1, 3)
-        gens = _random_semigroup(rng, kind, dim)
+        gens = _random_semigroup(rng, "nonfull" if kind == "positive non-full" else kind, dim)
         if not gens:
             continue
         s = AffineSemigroup(gens)
-        if s.is_pointed() == (kind == "line") or s.positive != (kind == "positive"):
+        if (s.is_pointed() == (kind == "line") or s.positive != kind.startswith("positive")
+                or (kind == "positive non-full" and s.is_full())):
             continue
-        low = 0 if kind == "positive" else -8
+        low = 0 if s.positive else -8
         queries = [tuple(rng.randint(low, 15) for _ in range(dim)) for _ in range(30)]
         if kind == "line":
             for x in queries:
@@ -377,6 +380,24 @@ def test_normality_size_refusal_passes_through_and_is_cached(monkeypatch):
         regularity_report(s)
 
 
+def test_normality_multiple_beyond_the_limit_is_a_size_refusal(monkeypatch):
+    # the saturation's Hilbert basis is (1,), and the least p with p in S is
+    # 10001: beyond the limit, so the answer is a size refusal naming the
+    # limit and the element, and it is kept; p = 10000 is still answered
+    cert = AffineSemigroup([(10000,), (10001,)]).normality()
+    assert (cert.normal, cert.witness_g, cert.witness_p) == (False, (1,), 10000)
+    s = AffineSemigroup([(10001,), (10002,)])
+    with pytest.raises(SizeLimitError) as exc:
+        s.normality()
+    assert str(exc.value) == (
+        f"no multiple p * [1] with p <= {MAX_NORMALITY_MULTIPLE} lies in S; the least p "
+        f"exceeds the supported limit of {MAX_NORMALITY_MULTIPLE}")
+    monkeypatch.setattr(AffineSemigroup, "_normality", None)
+    with pytest.raises(SizeLimitError) as again:
+        s.normality()
+    assert again.value is exc.value
+
+
 def test_cone_limits_are_checked_before_the_embedding(monkeypatch):
     # the cone pass, in coordinates of G(S), is the work the limits bound
     built = []
@@ -495,10 +516,47 @@ def test_facet_semigroup_iso_generators(n2):
 def test_facet_semigroup_refusals(n2, n23):
     with pytest.raises(NotNormalError):
         facet_subsemigroup(n23, n23.facets()[0])
-    from qtoric import Facet
     fake = Facet((1, -1), frozenset({0}))
     with pytest.raises(PreconditionError):
         facet_subsemigroup(n2, fake)
+
+
+def test_facet_semigroups_match_the_reference(n2, a1, rays13):
+    # the unit basis, transversal, positive generators and flag of every
+    # facet equal those of the reference's incident-or-kernel choice
+    wide = hilbert_basis(Cone(((1, 0, 0), (1, 2, 0), (1, 0, 3)), 3), Sublattice.standard(3))
+    for s in (n2, a1, rays13, AffineSemigroup(SQUARE_CONE), AffineSemigroup(wide)):
+        assert s.normality().normal and s.is_full(), s
+        for f in s.facets():
+            assert facet_subsemigroup(s, f) == reference_facet_subsemigroup(s, f), (s, f)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.filter_too_much])
+@given(small_cones(extra=1))
+def test_facet_semigroups_match_the_reference_random(cone):
+    # the Hilbert basis of a full cone generates a normal full semigroup; one
+    # of more than 20 elements is beyond the cone limit of its pass
+    gens, dim = cone
+    hb = hilbert_basis(Cone(tuple(gens), dim), Sublattice.standard(dim))
+    assume(len(hb) <= lattice_geometry.MAX_CONE_GENERATORS)
+    s = AffineSemigroup(hb)
+    for f in s.facets():
+        assert facet_subsemigroup(s, f) == reference_facet_subsemigroup(s, f), (gens, f)
+
+
+def test_facet_semigroup_refuses_a_normal_off_the_cone_pass(n2):
+    # (1, 1) is nonnegative on N^2 and has height 1 on both generators, so
+    # the reference builds a wrong S_tau for it; (7, 11) has no generator of
+    # height 1.  Neither is a facet normal of N^2
+    for normal in ((1, 1), (7, 11)):
+        with pytest.raises(PreconditionError) as exc:
+            facet_subsemigroup(n2, Facet(normal, frozenset()))
+        assert str(exc.value) == f"{list(normal)} is not the inner normal of a facet of S"
+    assert reference_facet_subsemigroup(n2, Facet((1, 1), frozenset())).unit_basis == \
+        ((1, -1),)
+    with pytest.raises(VerificationError):
+        reference_facet_subsemigroup(n2, Facet((7, 11), frozenset()))
 
 
 def test_decompose_orthant(n2):
@@ -538,8 +596,9 @@ def test_facet_semigroups_match_box_scan(n2, a1, rays13):
 
 
 def test_facet_certificate_refuses_where_box_scan_fails(n2):
-    # <(7,11), x> >= 0 holds on N^2, but no generator has height 1
-    with pytest.raises(VerificationError):
+    # <(7,11), x> >= 0 holds on N^2, but (7, 11) is no facet normal of N^2,
+    # and the box scan finds where its presentation fails
+    with pytest.raises(PreconditionError):
         facet_subsemigroup(n2, Facet((7, 11), frozenset()))
     bogus = FacetSemigroup(Facet((7, 11), frozenset()), 2, ((11, -7),), (-3, 2),
                            ((1, 0), (0, 1)), True)

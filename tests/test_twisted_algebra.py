@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from qtoric import (AffineSemigroup, Cocycle, DimensionError, NotNormalError,
-                    PreconditionError, Scalar, ScalarMonomial, TwistedAlgebra,
+                    PreconditionError, Scalar, ScalarMonomial, Sublattice, TwistedAlgebra,
                     TwistedElement, elements_by_degree)
 from qtoric.lattice_geometry import vadd
 from qtoric.lattice_algebras import straightening_semigroup
@@ -333,6 +333,20 @@ def test_torus_embedding_of_a_large_orthant_takes_t_zero():
     emb = a.torus_embedding()
     assert time.perf_counter() - start < 0.5
     assert emb.pairs == tuple((e, (0,) * 10) for e in basis)
+
+
+def test_torus_embedding_reads_the_kept_generator_coordinates(qplane, monkeypatch):
+    # the generators' coordinates in G(S) are computed once per semigroup:
+    # after a contains, the embedding of U1 adds no Sublattice.coordinates call
+    calls = []
+    real = Sublattice.coordinates
+    monkeypatch.setattr(Sublattice, "coordinates",
+                        lambda self, v: calls.append(tuple(v)) or real(self, v))
+    u1 = AffineSemigroup([(1, 0), (-2, 1), (-5, 2)])
+    assert u1.contains((-7, 3))
+    before = len(calls)
+    TwistedAlgebra(u1, qplane).torus_embedding()
+    assert before == 4 and len(calls) == before
 
 
 def test_torus_embedding_is_total():
