@@ -4,9 +4,12 @@ A finite distributive lattice embeds into N^(n+1) by sending each element to
 the indicator vector of the join-irreducibles below it (plus a homogenizing
 first coordinate).  Lattices are certified by Birkhoff's representation
 theorem; by Hibi's theorem the image generates the semigroup cut out by the
-staircase inequalities, every product of two lattice monomials straightens to
-a scalar times the monomial of a standard (weakly increasing) word, and the
-resulting twisted algebras inherit the exact regularity theory.
+staircase inequalities.  So the straightening semigroup is one
+``AffineSemigroup`` that decides membership by those inequalities, with the
+standard (weakly increasing) word as its witness and no search; every product
+of two lattice monomials straightens to a scalar times the monomial of a
+standard word, and the resulting twisted algebras inherit the exact
+regularity theory.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from typing import Sequence
 from .errors import DimensionError, PreconditionError, QtoricError, VerificationError
 from .lattice_geometry import IntVec, as_vec, vadd, vsub, zero_vec
 from .scalars_cocycles import Cocycle, Scalar
-from .semigroups import AffineSemigroup, RegularityReport, regularity_report
+from .semigroups import (AffineSemigroup, Membership, RegularityReport, _charge_witness,
+                         regularity_report)
 from .twisted_algebra import TwistedAlgebra
 
 
@@ -279,29 +283,32 @@ class StandardWord:
         return tuple(lattice.label(a) for a in self.chain)
 
 
-class StrSemigroup:
+class StrSemigroup(AffineSemigroup):
     """The embedding semigroup of a distributive lattice inside N^(n+1).
 
     n is the number of join-irreducibles; element alpha maps to
-    e_0 + sum of e_i over irreducibles p_i <= alpha.  The image generates
-    exactly the set cut out by s_i >= 0, s_0 >= s_i, and s_i >= s_j for each
-    consecutive pair p_i < p_j of irreducibles, which gives an exact
-    membership test and the standard-word normal form.
+    e_0 + sum of e_i over irreducibles p_i <= alpha, and is the generator of
+    index alpha.  The image generates exactly the set cut out by s_i >= 0,
+    s_0 >= s_i, and s_i >= s_j for each consecutive pair p_i < p_j of
+    irreducibles, which gives an exact membership test and the standard-word
+    normal form.
     """
 
     def __init__(self, birkhoff_data: BirkhoffData):
         self.birkhoff = birkhoff_data
         self.lattice = birkhoff_data.lattice
         irr = birkhoff_data.irreducibles
-        self.rank = len(irr)
-        self.ambient_dim = self.rank + 1
         self._position = {p: i + 1 for i, p in enumerate(irr)}
         self.vector_of = {
             a: tuple([1] + [int(p in birkhoff_data.ideal_of[a]) for p in irr])
             for a in range(self.lattice.size)}
-        self.semigroup = AffineSemigroup(
-            [self.vector_of[a] for a in range(self.lattice.size)], self.ambient_dim)
+        super().__init__([self.vector_of[a] for a in range(self.lattice.size)], len(irr) + 1)
         self.consecutive_pairs = self._consecutive()
+
+    @property
+    def semigroup(self) -> "StrSemigroup":
+        """The semigroup itself, for callers that read it as an attribute."""
+        return self
 
     def _consecutive(self) -> list[tuple[int, int]]:
         """Pairs (i, j) of coordinate positions with p_i < p_j consecutive."""
@@ -316,12 +323,21 @@ class StrSemigroup:
         return sorted(out)
 
     def contains(self, s: Sequence[int]) -> bool:
+        """Hibi's staircase inequalities; exact in every degree."""
         s = as_vec(s)
         if len(s) != self.ambient_dim:
-            return False
+            raise DimensionError(f"expected dimension {self.ambient_dim}, got {len(s)}")
         if any(x < 0 for x in s) or any(s[i] > s[0] for i in range(1, self.ambient_dim)):
             return False
         return all(s[i] >= s[j] for i, j in self.consecutive_pairs)
+
+    def membership(self, x: Sequence[int]) -> Membership:
+        """``contains`` with the standard word as the witness, with no search:
+        the generator index of a lattice element is its id."""
+        if not self.contains(x):
+            return Membership(False, None)
+        _charge_witness(x[0])  # the standard word has x_0 letters
+        return Membership(True, tuple(sorted(self.standard_word(x).chain)))
 
     def standard_word(self, s: Sequence[int]) -> StandardWord:
         """Invert the embedding: the unique standard word with vector sum s.
@@ -432,7 +448,6 @@ def algebra_report(sg: StrSemigroup, cocycle: Cocycle) -> LatticeAlgebraReport:
     rings and algebras with straightening laws", 1987).
     """
     if cocycle.dim != sg.ambient_dim:
-        raise PreconditionError(
-            f"cocycle dimension {cocycle.dim} does not match rank+1 = {sg.ambient_dim}")
-    return LatticeAlgebraReport(sg, regularity_report(sg.semigroup),
-                                TwistedAlgebra(sg.semigroup, cocycle))
+        raise PreconditionError(f"cocycle dimension {cocycle.dim} does not match the "
+                                f"ambient dimension {sg.ambient_dim}")
+    return LatticeAlgebraReport(sg, regularity_report(sg), TwistedAlgebra(sg, cocycle))

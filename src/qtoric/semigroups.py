@@ -4,11 +4,13 @@ An AffineSemigroup is a finite generating set inside Z^(n+1).  Membership is
 decided by one exact search on heights, linear forms on G(S) that are
 nonnegative on S: the ambient coordinates of a positive S, the inner facet
 normals of any other pointed one (a cone with a line is refused with a
-certificate); a vector outside G(S) is refuted before any search.  Normality
-is decided by comparing against the Hilbert basis of the saturation, facet
-semigroups read the facets of the one cone pass, and the regularity report
-turns polyhedral certificates into exact Cohen-Macaulay / Gorenstein /
-regular / maximal-order decisions.
+certificate); a vector outside G(S), or of negative height on a facet of
+the cone, is refuted before any search.  A subclass whose membership has a
+closed form (the straightening semigroups of ``lattice_algebras``) overrides
+``contains`` and ``membership``.  Normality is decided by comparing against
+the Hilbert basis of the saturation, facet semigroups read the facets of the
+one cone pass, and the regularity report turns polyhedral certificates into
+exact Cohen-Macaulay / Gorenstein / regular / maximal-order decisions.
 """
 
 from __future__ import annotations
@@ -40,6 +42,14 @@ MAX_WITNESS_SUMMANDS = 1_000_000
 MAX_NORMALITY_MULTIPLE = 10_000
 
 
+def _charge_witness(summands: int) -> None:
+    """Refuse a witness of more than ``MAX_WITNESS_SUMMANDS`` summands before
+    it is built."""
+    if summands > MAX_WITNESS_SUMMANDS:
+        raise SizeLimitError(f"a witness of {summands} summands exceeds the supported "
+                             f"limit of {MAX_WITNESS_SUMMANDS}")
+
+
 @dataclass(frozen=True)
 class Membership:
     """Decision for one membership query; a negative decision is a proof.
@@ -55,9 +65,10 @@ class Membership:
 class AffineSemigroup:
     """Subsemigroup of (Z^(n+1), +) given by finitely many nonzero generators.
 
-    Pointedness, the heights of a non-positive S, the facets, normality and
-    the regularity report all read one double-description pass (``_cone``);
-    a positive S needs none to be pointed or searched.
+    Pointedness, the heights of a non-positive S, the refutation of a
+    non-member below a facet, the facets, normality and the regularity report
+    all read one double-description pass (``_cone``); a positive S needs none
+    to be pointed.
     """
 
     def __init__(self, generators: Sequence[Sequence[int]], ambient_dim: int | None = None):
@@ -139,12 +150,22 @@ class AffineSemigroup:
         normals = self._pointed_cone("membership").normals
         return normals, [tuple(vdot(n, k) for n in normals) for k in self._coordinates]
 
+    @cached_property
+    def _facet_normals(self) -> Sequence[IntVec]:
+        """The inner normals of ``_cone``, or none when the pass is refused for
+        size; the search then decides alone."""
+        try:
+            return self._cone.normals
+        except SizeLimitError:
+            return ()
+
     def membership(self, x: Sequence[int]) -> Membership:
         """Decide x in S with a generator-multiset witness; a refutation is a proof.
 
-        x is refuted when it has no coordinates in G(S); otherwise its heights
-        are searched.  A cone with a line is refused, before that test, as
-        ``normality()`` refuses it.
+        x is refuted when it has no coordinates k in G(S), or when <n, k> < 0
+        for an inner facet normal n of the cone, which every member meets with
+        <n, k> >= 0; otherwise its heights are searched.  A cone with a line
+        is refused, before these tests, as ``normality()`` refuses it.
         """
         x = as_vec(x)
         if len(x) != self.ambient_dim:
@@ -158,7 +179,7 @@ class AffineSemigroup:
             return cached
         forms, images = self._heights
         coords = self.group.coordinates(x)
-        if coords is None:
+        if coords is None or any(vdot(n, coords) < 0 for n in self._facet_normals):
             result = Membership(False, None)
         else:
             result = self._search(tuple(sum(map(mul, f, coords)) for f in forms), images)
@@ -195,10 +216,7 @@ class AffineSemigroup:
                 m, r = divmod(v[lead], g0[lead])
                 if r or m < 1 or any(a != m * b for a, b in zip(v, g0)):
                     return None
-                if m > MAX_WITNESS_SUMMANDS:
-                    raise SizeLimitError(
-                        f"a witness of {m} summands exceeds the supported limit of "
-                        f"{MAX_WITNESS_SUMMANDS}")
+                _charge_witness(m)
                 return tuple(sorted(path + [0] * m))
             key = (v, max_idx)
             if key in failed:
@@ -301,8 +319,9 @@ class FacetSemigroup:
     ``unit_basis`` is a lattice basis of the hyperplane subgroup (the units),
     ``transversal`` pairs to exactly 1 with the normal, and together they give
     the isomorphism onto Z^n + N.  ``positive_generators`` are the generators
-    of S off the facet.  ``used_auxiliary_basis`` flags a basis that had to be
-    completed beyond the facet-incident generators.
+    of S off the facet.  ``used_auxiliary_basis`` would flag a unit basis
+    beyond the lattice of the facet-incident generators; ``facet_subsemigroup``
+    proves that none is needed, so it is false.
     """
 
     facet: Facet
@@ -359,9 +378,11 @@ def facet_subsemigroup(semigroup: AffineSemigroup, facet: Facet) -> FacetSemigro
     the generators on the facet, which lies in its relative interior, and the
     transversal t, t + k * y lies in the cone for k large, so in S, which is
     normal; its height is 1, a sum of generator heights >= 0.
-    ``used_auxiliary_basis`` says whether the incident generators span a
-    lattice other than the units; a Hermite basis is unique, so comparing
-    the two bases decides it.
+    ``used_auxiliary_basis`` is always false: the incident generators
+    generate S ∩ F, since heights >= 0 that sum to 0 are all 0, and
+    S ∩ F = C ∩ F ∩ Z^(n+1) as S is normal and full.  Its group is the whole
+    kernel lattice of n: for u in it, u + k * y lies in F for k large, as y
+    is in the relative interior of F, so u = (u + k * y) - k * y.
     """
     semigroup.require_normal()
     if not semigroup.is_full():
@@ -370,13 +391,10 @@ def facet_subsemigroup(semigroup: AffineSemigroup, facet: Facet) -> FacetSemigro
     if n_vec not in semigroup._cone.normals:
         raise PreconditionError(f"{list(n_vec)} is not the inner normal of a facet of S")
     d = semigroup.ambient_dim
-    pairings = [vdot(n_vec, g) for g in semigroup.generators]
-    incident = [g for g, p in zip(semigroup.generators, pairings) if p == 0]
-    positive = tuple(g for g, p in zip(semigroup.generators, pairings) if p > 0)
+    positive = tuple(g for g in semigroup.generators if vdot(n_vec, g) > 0)
     unit_basis = lattice_of(linalg.kernel_basis([n_vec], d), d).basis
     transversal = tuple(linalg.solve_integer([n_vec], [1]))
-    return FacetSemigroup(facet, d, unit_basis, transversal, positive,
-                          lattice_of(incident, d).basis != unit_basis)
+    return FacetSemigroup(facet, d, unit_basis, transversal, positive, False)
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,11 @@
 """Cocycle-twisted semigroup algebras and their quantum-torus geometry.
 
 Elements are finite sums of monomials X^s with ``Scalar`` coefficients;
-the product is X^s X^t = alpha(s, t) X^(s+t) extended bilinearly.  The module
+the product is X^s X^t = alpha(s, t) X^(s+t) extended bilinearly.  The
+monomials range over one domain that decides its own membership: an affine
+semigroup S (a straightening semigroup among them), a facet semigroup S_tau,
+or a ``Sublattice`` for a quantum torus, which is k^alpha[Z^d] on
+``Sublattice.standard(d)``.  The module
 also builds the left twisting system that recovers the algebra from its
 commutative degeneration, the quantum-torus embedding on the group of
 fractions, and facet localizations.  The twisting system needs no
@@ -19,7 +23,7 @@ from typing import Mapping, Sequence
 
 from . import linalg
 from .errors import DimensionError, PreconditionError
-from .lattice_geometry import Facet, IntVec, as_vec, vadd, vneg, vsub, zero_vec
+from .lattice_geometry import Facet, IntVec, Sublattice, as_vec, vadd, vneg, vsub, zero_vec
 from .scalars_cocycles import Cocycle, Scalar, commutation_matrix
 from .semigroups import AffineSemigroup, FacetSemigroup, facet_subsemigroup
 
@@ -105,19 +109,16 @@ class TwistedElement:
 
 
 class TwistedAlgebra:
-    """k^alpha[S]: monomials indexed by a semigroup, product twisted by alpha.
+    """k^alpha[S]: monomials indexed by a domain, product twisted by alpha.
 
-    ``domain`` is an AffineSemigroup, a FacetSemigroup, or None for the full
-    quantum torus on Z^dim.  Supports of operands are validated against the
-    domain on every product.
+    ``domain`` is an AffineSemigroup, a FacetSemigroup, or a Sublattice (the
+    quantum torus on it); each has ``ambient_dim`` and decides ``contains``.
+    Supports of operands are validated against the domain on every product.
     """
 
-    def __init__(self, domain: AffineSemigroup | FacetSemigroup | None,
-                 cocycle: Cocycle, dim: int | None = None):
-        if domain is not None:
-            dim = domain.ambient_dim
-        if dim is None:
-            raise DimensionError("torus algebra needs an explicit dimension")
+    def __init__(self, domain: AffineSemigroup | FacetSemigroup | Sublattice,
+                 cocycle: Cocycle):
+        dim = domain.ambient_dim
         if cocycle.dim != dim:
             raise DimensionError(
                 f"cocycle on Z^{cocycle.dim} cannot twist a dimension-{dim} algebra")
@@ -126,19 +127,12 @@ class TwistedAlgebra:
         self.dim = dim
 
     def __repr__(self) -> str:
-        kind = "torus" if self.domain is None else repr(self.domain)
-        return f"TwistedAlgebra({kind}, params={list(self.cocycle.params)})"
-
-    def in_domain(self, s: Sequence[int]) -> bool:
-        if self.domain is None:
-            return len(s) == self.dim
-        return self.domain.contains(s)
+        return f"TwistedAlgebra({self.domain!r}, params={list(self.cocycle.params)})"
 
     def _check_support(self, x: TwistedElement) -> None:
+        """Every domain refuses a vector of the wrong length with ``DimensionError``."""
         for s in x.terms:
-            if len(s) != self.dim:
-                raise DimensionError(f"monomial X{list(s)} has wrong dimension")
-            if not self.in_domain(s):
+            if not self.domain.contains(s):
                 raise PreconditionError(
                     f"support vector {list(s)} lies outside the monomial domain",
                     certificate=s)
@@ -152,7 +146,7 @@ class TwistedAlgebra:
         return self.monomial(zero_vec(self.dim))
 
     def generators(self) -> list[TwistedElement]:
-        if self.domain is None or isinstance(self.domain, FacetSemigroup):
+        if not isinstance(self.domain, AffineSemigroup):
             raise PreconditionError("generator monomials need an affine semigroup domain")
         return [self.monomial(g) for g in self.domain.generators]
 
@@ -183,7 +177,7 @@ class TwistedAlgebra:
         if not c.is_monomial():
             raise PreconditionError("coefficient is not an invertible monomial")
         neg = vneg(s)
-        if not self.in_domain(neg):
+        if not self.domain.contains(neg):
             raise PreconditionError(
                 f"X{list(neg)} is outside the monomial domain; not invertible here")
         coeff = c.inverse() * self.cocycle(s, neg).inverse()
@@ -191,10 +185,10 @@ class TwistedAlgebra:
 
     def contains(self, x: TwistedElement) -> bool:
         """Whether every support vector belongs to the monomial domain."""
-        return all(self.in_domain(s) for s in x.terms)
+        return all(self.domain.contains(s) for s in x.terms)
 
     def torus(self) -> "TwistedAlgebra":
-        return TwistedAlgebra(None, self.cocycle, self.dim)
+        return TwistedAlgebra(Sublattice.standard(self.dim), self.cocycle)
 
     # -- twisting system -----------------------------------------------------
 
@@ -208,7 +202,7 @@ class TwistedAlgebra:
         tau_t(X^s) X^t = alpha(s, t) X^(s+t) is this algebra's product by
         definition.  Needs an affine semigroup domain, positive or not.
         """
-        if self.domain is None or isinstance(self.domain, FacetSemigroup):
+        if not isinstance(self.domain, AffineSemigroup):
             raise PreconditionError("twisting systems are built over semigroup algebras")
         return TwistingSystem(self.cocycle, self.dim)
 
@@ -235,7 +229,7 @@ class TwistedAlgebra:
         ``q_matrix`` needs no check: q_ji has the negated exponents of q_ij and
         q_ii zero ones (``commutation_matrix``).
         """
-        if self.domain is None or isinstance(self.domain, FacetSemigroup):
+        if not isinstance(self.domain, AffineSemigroup):
             raise PreconditionError("torus embedding starts from a semigroup algebra")
         s_gp = self.domain
         alpha, dim, gens, basis = self.cocycle, self.dim, s_gp.generators, s_gp.group.basis
@@ -273,7 +267,7 @@ class TwistedAlgebra:
         Z^n + N generators, skew-symmetric with unit diagonal by construction:
         ``commutation_matrix`` gives q_ji the negated exponents of q_ij, q_ii zero.
         """
-        if self.domain is None or isinstance(self.domain, FacetSemigroup):
+        if not isinstance(self.domain, AffineSemigroup):
             raise PreconditionError("localization starts from a semigroup algebra")
         fs = facet_subsemigroup(self.domain, facet)
         t_vecs = fs.iso_generators
@@ -316,7 +310,8 @@ class TwistingSystem:
 
     @cached_property
     def _commutative(self) -> TwistedAlgebra:
-        return TwistedAlgebra(None, Cocycle.trivial(self.dim, self.cocycle.params), self.dim)
+        return TwistedAlgebra(Sublattice.standard(self.dim),
+                              Cocycle.trivial(self.dim, self.cocycle.params))
 
     def commutative_product(self, x: TwistedElement, y: TwistedElement) -> TwistedElement:
         """The product of k[Z^dim]: the torus product under the trivial cocycle."""

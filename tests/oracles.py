@@ -1309,7 +1309,7 @@ def staircase_round_trip_mismatch(sg, bound):
     it relied on Hibi's theorem.
     """
     for s0 in range(bound + 1):
-        for rest in itertools.product(range(s0 + 1), repeat=sg.rank):
+        for rest in itertools.product(range(s0 + 1), repeat=sg.ambient_dim - 1):
             s = (s0,) + rest
             if sg.contains(s) and sg.vector_of_word(sg.standard_word(s).chain) != s:
                 return s

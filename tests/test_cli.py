@@ -169,6 +169,14 @@ def test_monomial_outside_semigroup_exits_3(capsys):
     assert "outside the monomial domain" in err
 
 
+def test_non_member_near_the_cone_exits_3():
+    # refuted by a negative facet height; the search once hit Python's
+    # recursion limit here and the command ended in a traceback
+    rc, out, err = run_fresh(["multiply", "A1", "qplane", "1001,2003", "1,0", "--model", MODEL])
+    assert (rc, out) == (3, "")
+    assert err == "error: support vector [1001, 2003] lies outside the monomial domain\n"
+
+
 def test_dimension_mismatch_exits_3(capsys):
     rc, out, err = run(capsys, ["embed-torus", "A1", "tri3"])
     assert rc == 3

@@ -6,18 +6,19 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qtoric import (Cocycle, DimensionError, DistLattice, PreconditionError,
+from qtoric import (AffineSemigroup, Cocycle, DimensionError, DistLattice, PreconditionError,
                     QtoricError, ScalarMonomial, SizeLimitError, StandardWord,
                     TwistedAlgebra, birkhoff, ideal_lattice, lattice_algebra_report,
                     straighten, straightening_semigroup)
 from qtoric.lattice_algebras import algebra_report
+from qtoric.semigroups import MAX_WITNESS_SUMMANDS
 
 from .conftest import M3_COVERS, N5_COVERS, quantum_cocycle, two_parameter_cocycle
 from .oracles import (all_posets_up_to, checked_algebra_report, checked_standard_word,
                       embedding_mismatch,
                       hibi_torus_pairs,
                       join_irreducibles_by_joins, naturally_labeled_posets,
-                      product_chain_straighten, scalar_chain_straighten,
+                      product_chain_straighten, reference_membership, scalar_chain_straighten,
                       scanned_lattice_tables, staircase_round_trip_mismatch,
                       standard_chains_with_sum)
 
@@ -266,6 +267,49 @@ def test_str_embedding_is_valuation(chain3, diamond):
     assert embedding_mismatch(sg) is not None
 
 
+def test_membership_matches_the_search_on_a_plain_copy(chain2, chain3, diamond):
+    # Hibi's inequalities and the standard-word witness against the reference
+    # search on the same generators as a plain AffineSemigroup, over the box
+    # s_0 <= 4, 0 <= s_i <= s_0
+    lattices = [chain2, chain3, diamond]
+    lattices += [ideal_lattice(n, sorted(rel)) for n, rel in all_posets_up_to(4)]
+    for lat in lattices:
+        sg = straightening_semigroup(lat)
+        plain = AffineSemigroup(sg.generators)
+        for s0 in range(5):
+            for rest in itertools.product(range(s0 + 1), repeat=sg.ambient_dim - 1):
+                s = (s0,) + rest
+                got = sg.membership(s)
+                assert got.member == reference_membership(plain, s).member, (lat, s)
+                if got.member:
+                    assert sg.vector_of_word(got.witness) == s, (lat, s)
+    # the witness of (m, 0, ..., 0) is m letters: refused, as the search refuses it
+    with pytest.raises(SizeLimitError, match="summands exceeds"):
+        sg.membership((MAX_WITNESS_SUMMANDS + 1,) + (0,) * (sg.ambient_dim - 1))
+
+
+def test_lattice_algebras_never_search(diamond, monkeypatch):
+    # every membership question of a lattice algebra is answered by Hibi's
+    # inequalities: its products, normality(), torus embedding and witnesses
+    def refuse(target, gens):
+        raise AssertionError(f"searched for {target}")
+
+    monkeypatch.setattr(AffineSemigroup, "_search", staticmethod(refuse))
+    lattices = [diamond] + [ideal_lattice(n, sorted(rel)) for n, rel in all_posets_up_to(3)]
+    for lat in lattices:
+        alpha = quantum_cocycle(len(lat.join_irreducibles()) + 1)
+        report = lattice_algebra_report(lat, alpha)
+        sg, algebra = report.semigroup, report.algebra
+        assert report.regularity.normal and algebra.domain is sg
+        algebra.torus_embedding()
+        for word in itertools.product(range(lat.size), repeat=2):
+            prod = algebra.one()
+            for a in word:
+                prod = algebra.product(prod, algebra.monomial(sg.vector_of[a]))
+            assert prod.support == (sg.vector_of_word(word),)
+            assert sg.vector_of_word(sg.membership(prod.support[0]).witness) == prod.support[0]
+
+
 def test_standard_word_diamond(diamond):
     sg = straightening_semigroup(diamond)
     bot, top = diamond.index_of("bot"), diamond.index_of("top")
@@ -285,7 +329,7 @@ def test_standard_word_is_unique(chain3, diamond):
     for lat in [chain3, diamond]:
         sg = straightening_semigroup(lat)
         for s0 in range(4):
-            for rest in itertools.product(range(s0 + 1), repeat=sg.rank):
+            for rest in itertools.product(range(s0 + 1), repeat=sg.ambient_dim - 1):
                 s = (s0,) + rest
                 if not sg.contains(s):
                     continue

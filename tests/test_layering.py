@@ -13,8 +13,9 @@ import inspect
 import sys
 from pathlib import Path
 
-from qtoric import (FacetSemigroup, RegularityReport, TwistedAlgebra, facet_subsemigroup,
-                    lattice_algebra_report, regularity_report, straightening_semigroup)
+from qtoric import (AffineSemigroup, FacetSemigroup, RegularityReport, TwistedAlgebra,
+                    facet_subsemigroup, ideal_lattice, lattice_algebra_report,
+                    regularity_report, straightening_semigroup)
 
 PACKAGE = Path(__file__).parent.parent / "src" / "qtoric"
 LAYER = {"errors": 0, "linalg": 1, "lattice_geometry": 2, "semigroups": 3,
@@ -69,6 +70,16 @@ def test_no_function_takes_a_bound_it_only_records():
         assert list(inspect.signature(fn).parameters) == params, fn.__qualname__
     for cls in (FacetSemigroup, RegularityReport):
         assert not [f.name for f in dataclasses.fields(cls) if "bound" in f.name], cls
+
+
+def test_one_domain_per_algebra():
+    # a twisted algebra reads its dimension from its domain, which decides
+    # its own membership (a torus is a Sublattice), and a straightening
+    # semigroup is its own AffineSemigroup
+    params = inspect.signature(TwistedAlgebra.__init__).parameters
+    assert list(params) == ["self", "domain", "cocycle"]
+    sg = straightening_semigroup(ideal_lattice(2, [(0, 1)]))
+    assert isinstance(sg, AffineSemigroup) and sg.semigroup is sg
 
 
 def test_one_cone_pass_owns_the_size_charges():

@@ -21,6 +21,7 @@ from .oracles import (all_posets_up_to, bounded_brute_membership, brute_members_
                       brute_membership, brute_normality_witness, checked_regularity_report,
                       decomposition_mismatch,
                       embedded_facets, embedded_is_pointed, embedded_membership,
+                      embedded_pointed_data,
                       embedded_normality, embedded_regularity_report,
                       facet_presentation_mismatch, gorenstein_candidate_works,
                       h_star_is_palindromic, reference_facet_subsemigroup,
@@ -183,6 +184,41 @@ def test_membership_matches_the_walk_search():
                                    _walk_answers(gens, queries)):
                 assert got == reference_membership(s, x) == old, (gens, x)
         done[kind] += 1
+
+
+def _no_search(target, gens):
+    raise AssertionError(f"searched for {target}")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_negative_facet_heights_are_refuted_with_no_search(data):
+    # a member has heights <n, k(x)> >= 0 under every inner normal n of the
+    # cone, k(x) its coordinates in G(S): one negative height refutes x
+    # before any search, on a positive S (possibly non-full) and on its
+    # unimodular images, which are pointed but not positive
+    dim = data.draw(st.integers(1, 3))
+    gens = data.draw(st.lists(st.tuples(*[st.integers(0, 4)] * dim), min_size=1, max_size=4))
+    u = _drawn_unimodular(data, dim)
+    gens = [tuple(vdot(row, g) for row in u) for g in gens if any(g)]
+    assume(gens)
+    s = AffineSemigroup(gens)
+    _, normals, _ = embedded_pointed_data(s)
+    k = data.draw(st.tuples(*[st.integers(-10**6, 10**6)] * s.rank))
+    assume(any(vdot(n, k) < 0 for n in normals))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(AffineSemigroup, "_search", staticmethod(_no_search))
+        assert s.membership(s.group.from_coordinates(k)) == Membership(False, None)
+
+
+def test_a_non_member_near_the_cone_is_refuted_at_once():
+    # just outside A1 = {0 <= x_1 <= 2 x_0}: the search once walked to
+    # Python's recursion limit on the second point
+    for x in [(301, 603), (1001, 2003), (10**6 + 1, 2 * 10**6 + 3)]:
+        a1 = AffineSemigroup([(1, 0), (1, 1), (1, 2)])
+        start = time.perf_counter()
+        assert not a1.contains(x)
+        assert time.perf_counter() - start < 0.01, x
 
 
 def _outcome(fn):

@@ -106,7 +106,7 @@ torus_elements = st.builds(
 @given(torus_elements, torus_elements)
 def test_leading_term_is_multiplicative(x, y):
     alpha = Cocycle.bicharacter(2, {"q": [[0, 0], [-1, 0]]})
-    torus = TwistedAlgebra(None, alpha, dim=2)
+    torus = TwistedAlgebra(Sublattice.standard(2), alpha)
     cu, u = x.leading_term()
     cv, v = y.leading_term()
     cp, p = torus.product(x, y).leading_term()
@@ -134,13 +134,11 @@ def test_support_validation(a1, qplane):
 
 def test_algebra_construction_errors(qplane):
     with pytest.raises(DimensionError):
-        TwistedAlgebra(None, qplane)  # torus needs a dimension
-    with pytest.raises(DimensionError):
         TwistedAlgebra(AffineSemigroup([(1, 0, 0)]), qplane)
 
 
 def test_monomial_inverse(qplane):
-    torus = TwistedAlgebra(None, qplane, dim=2)
+    torus = TwistedAlgebra(Sublattice.standard(2), qplane)
     x = torus.monomial((1, 2), ScalarMonomial.make(3, {"q": 1}))
     inv = torus.monomial_inverse(x)
     assert torus.product(x, inv) == torus.one()
@@ -150,7 +148,7 @@ def test_monomial_inverse(qplane):
 
 
 def test_monomial_inverse_errors(n2, qplane):
-    torus = TwistedAlgebra(None, qplane, dim=2)
+    torus = TwistedAlgebra(Sublattice.standard(2), qplane)
     two_terms = torus.monomial((1, 0)) + torus.monomial((0, 1))
     with pytest.raises(PreconditionError):
         torus.monomial_inverse(two_terms)
@@ -477,7 +475,7 @@ def test_twisting_checks_flag_a_corrupted_evaluator(n2, upper, monkeypatch):
 
 
 def test_twisting_system_preconditions(qplane):
-    torus = TwistedAlgebra(None, qplane, 2)
+    torus = TwistedAlgebra(Sublattice.standard(2), qplane)
     with pytest.raises(PreconditionError):
         torus.twisting_system()
     # a non-positive domain gets its system: nothing enumerates degrees
