@@ -30,6 +30,31 @@ GOLDEN_CASES = [
 ]
 
 
+# every command on corpus.model, with each optional report line both present
+# and omitted, and refusals with exit codes 2, 3 and 4
+CORPUS_MODEL = str(GOLDEN / "corpus.model")
+CORPUS_CASES = [
+    ["analyze", "N23"], ["analyze", "P2h"], ["analyze", "U1"], ["analyze", "L"],
+    ["analyze", "A1", "--bound", "2"], ["analyze", "NOPE"],
+    ["analyze", "A1", "--self-check-corrupt"],
+    ["normal", "A1"], ["normal", "N23"], ["normal", "L"],
+    ["facets", "U1"], ["facets", "P2h"], ["facets"],
+    ["decompose", "U1"], ["decompose", "P2h"], ["decompose", "N23"],
+    ["regularity", "N23"], ["regularity", "U1"], ["regularity", "P2h"],
+    ["embed-torus", "P2h", "qplane"], ["embed-torus", "U1", "upper"],
+    ["twist-check", "U1", "qplane"], ["twist-check", "A1", "upper", "--bound", "1"],
+    ["twist-check", "A1", "qplane", "--bound", "-1"],
+    ["cohomologous", "upper", "upper"], ["cohomologous", "qplane", "upper"],
+    ["cohomologous", "upper2", "shifted2"], ["cohomologous", "upper", "triv"],
+    ["cohomologous", "upper", "upper2"],
+    ["multiply", "U1", "qplane", "-2,1", "1,0"], ["multiply", "A1", "upper", "[1,2]", "[1,0]"],
+    ["multiply", "L", "qplane", "0,1", "1,0"], ["multiply", "A1", "qplane", "x,1", "1,0"],
+    ["straighten", "D", "tri3", "top,x,y"], ["straighten", "D", "tri3", "x,zz"],
+    ["lattice", "D"], ["lattice", "D", "--cocycle", "tri3"],
+    ["lattice", "D", "--cocycle", "upper"],
+]
+
+
 @pytest.fixture(autouse=True)
 def _clear_bound_env(monkeypatch):
     monkeypatch.delenv("QTORIC_BOUND", raising=False)
@@ -46,6 +71,24 @@ def test_golden_outputs(capsys):
         rc, out, err = run(capsys, argv)
         assert rc == 0, (fname, err)
         assert out == (GOLDEN / fname).read_text(), fname
+
+
+def render_corpus(capsys) -> str:
+    """Each corpus command with its exit code, stdout and stderr."""
+    blocks = []
+    for argv in CORPUS_CASES:
+        try:
+            rc, out, err = run(capsys, argv, CORPUS_MODEL)
+        except SystemExit as exc:  # argparse refuses before main returns
+            rc, (out, err) = exc.code, capsys.readouterr()
+        blocks.append(f"$ qtoric {' '.join(argv)}\n--- exit {rc}\n"
+                      f"--- stdout\n{out}--- stderr\n{err}")
+    return "\n".join(blocks)
+
+
+def test_report_corpus(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage lines to the terminal
+    assert render_corpus(capsys) == (GOLDEN / "corpus.txt").read_text(encoding="utf-8")
 
 
 def test_report_header_and_digest(capsys):
