@@ -5,7 +5,7 @@ affine semigroups and their normality / regularity certificates), the twisted
 layer (scalars, normalized 2-cocycles, twisted algebras, twisting systems,
 quantum-torus embeddings, facet localizations), and the distributive-lattice
 pipeline with its straightening laws.  Every nontrivial answer ships with a
-certificate or a bounded verification.
+certificate.
 """
 
 from .errors import (DimensionError, ModelParseError, NotNormalError,

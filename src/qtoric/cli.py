@@ -1,13 +1,17 @@
 """Command-line interface: deterministic key-value reports over model files.
 
 Every command reads a model file, answers one question, and prints a report
-of ``key = value`` lines (no timestamps; the model digest ties a report to
-its input).  The digest and the parse come from one read of the file.  An
-in-process caller of ``main`` reuses the argument parser, and the last
-parsed model while the bytes just read have its sha256; a one-shot
-``python -m qtoric`` process reads and parses its model once.  Exit codes:
-0 success, 2 usage or parse or unknown-name errors, 3 precondition failures
-(including size limits), 4 internal verification failures.
+of ``key = value`` lines after ``command`` and ``model_sha256`` (no
+timestamps; the digest ties a report to its input).  One table,
+``_COMMANDS``, gives each command's handler, help text and arguments;
+``build_parser`` builds the parser from it and ``main`` dispatches through
+it.  A handler returns ``(key, value)`` pairs that ``main`` writes through
+``_fmt``; a value of ``None`` omits its line, which is how every optional
+line is made.  One read of the file gives the digest and the parse; an
+in-process caller of ``main`` reuses the parser, and the last parsed model
+while the bytes read have its sha256.  Exit codes: 0 success, 2 usage or
+parse or unknown-name errors, 3 precondition failures (including size
+limits), 4 internal verification failures.
 """
 
 from __future__ import annotations
@@ -21,7 +25,7 @@ import sys
 
 from .errors import ModelParseError, QtoricError, VerificationError
 from .lattice_algebras import algebra_report, straighten
-from .model import ModelFile, parse_model
+from .model import ModelFile, decode_model, parse_model
 from .scalars_cocycles import (Cocycle, Scalar, are_cohomologous,
                                check_cocycle_identity)
 from .semigroups import decompose, hilbert_function, regularity_report
@@ -38,20 +42,15 @@ class _CliUsage(Exception):
     """Bad command-line input; maps to exit code 2."""
 
 
-def _fmt_num(x) -> str:
-    return str(x)
-
-
-def _fmt_vec(v) -> str:
-    return "[" + ",".join(_fmt_num(x) for x in v) + "]"
-
-
-def _fmt_mat(m) -> str:
-    return "[" + ",".join(_fmt_vec(row) for row in m) + "]"
-
-
-def _fmt_bool(b: bool) -> str:
-    return "true" if b else "false"
+def _fmt(value) -> str:
+    """``true``/``false``, a bracketed comma-joined list (nested for a matrix), or str."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, (list, tuple)):
+        if value and isinstance(value[0], (list, tuple)):
+            return "[" + ",".join(map(_fmt, value)) + "]"
+        return "[" + ",".join(map(str, value)) + "]"  # the common flat vector
+    return str(value)
 
 
 def _parse_vector(text: str) -> tuple[int, ...]:
@@ -59,7 +58,7 @@ def _parse_vector(text: str) -> tuple[int, ...]:
     if body.startswith("[") and body.endswith("]"):
         body = body[1:-1]
     try:
-        return tuple(int(p.strip()) for p in body.split(",") if p.strip() != "")
+        return tuple(int(p) for p in body.split(","))
     except ValueError:
         raise _CliUsage(f"expected a comma-separated integer vector, got {text!r}") from None
 
@@ -90,175 +89,126 @@ def _get(model: ModelFile, kind: str, name: str):
         raise _CliUsage(str(exc.args[0])) from exc
 
 
-# -- command handlers; each returns the report lines after the header ---------
+def _witness(pair) -> list:
+    """The lines of a non-normality witness (g, p); none for None or (None, None)."""
+    g, p = pair or (None, None)
+    return [("witness_g", g), ("witness_p", p)]
 
-def _cmd_analyze(args, model: ModelFile) -> list[str]:
+
+# -- command handlers; each returns the report's (key, value) pairs ----------
+
+def _cmd_analyze(args, model: ModelFile) -> list:
     s = _get(model, "semigroup", args.name)
     bound = _resolve_bound(args, model)
-    lines = [
-        f"semigroup = {args.name}",
-        f"generators = {_fmt_mat(s.generators)}",
-        f"ambient_dim = {s.ambient_dim}",
-        f"rank = {s.rank}",
-        f"full = {_fmt_bool(s.is_full())}",
-        f"positive = {_fmt_bool(s.positive)}",
-        f"pointed = {_fmt_bool(s.is_pointed())}",
+    return [
+        ("semigroup", args.name), ("generators", s.generators),
+        ("ambient_dim", s.ambient_dim), ("rank", s.rank), ("full", s.is_full()),
+        ("positive", s.positive), ("pointed", s.is_pointed()),
+        ("normal", (cert := s.normality()).normal),
+        *_witness((cert.witness_g, cert.witness_p)),
+        ("facet_count", len(s.facets()) if s.is_full() else None),
+        ("hilbert_function", hilbert_function(s, bound) if s.positive else None),
+        ("hilbert_bound", bound if s.positive else None),
     ]
-    cert = s.normality()
-    lines.append(f"normal = {_fmt_bool(cert.normal)}")
-    if not cert.normal:
-        lines.append(f"witness_g = {_fmt_vec(cert.witness_g)}")
-        lines.append(f"witness_p = {cert.witness_p}")
-    if s.is_full():
-        lines.append(f"facet_count = {len(s.facets())}")
-    if s.positive:
-        counts = hilbert_function(s, bound)
-        lines.append(f"hilbert_function = {_fmt_vec(counts)}")
-        lines.append(f"hilbert_bound = {bound}")
-    return lines
 
 
-def _cmd_normal(args, model: ModelFile) -> list[str]:
-    s = _get(model, "semigroup", args.name)
-    cert = s.normality()
-    lines = [
-        f"semigroup = {args.name}",
-        f"normal = {_fmt_bool(cert.normal)}",
-        f"saturation_hilbert_basis = {_fmt_mat(cert.saturation_hilbert_basis)}",
+def _cmd_normal(args, model: ModelFile) -> list:
+    cert = _get(model, "semigroup", args.name).normality()
+    return [
+        ("semigroup", args.name), ("normal", cert.normal),
+        ("saturation_hilbert_basis", cert.saturation_hilbert_basis),
+        *_witness((cert.witness_g, cert.witness_p)),
     ]
-    if not cert.normal:
-        lines.append(f"witness_g = {_fmt_vec(cert.witness_g)}")
-        lines.append(f"witness_p = {cert.witness_p}")
-    return lines
 
 
-def _cmd_facets(args, model: ModelFile) -> list[str]:
-    s = _get(model, "semigroup", args.name)
-    facets = s.facets()
-    lines = [f"semigroup = {args.name}", f"facet_count = {len(facets)}"]
+def _cmd_facets(args, model: ModelFile) -> list:
+    facets = _get(model, "semigroup", args.name).facets()
+    pairs = [("semigroup", args.name), ("facet_count", len(facets))]
     for i, f in enumerate(facets):
-        lines.append(f"facet_{i}_normal = {_fmt_vec(f.inner_normal)}")
-        lines.append(f"facet_{i}_incident = {_fmt_vec(sorted(f.incident))}")
-    return lines
+        pairs += [(f"facet_{i}_normal", f.inner_normal),
+                  (f"facet_{i}_incident", sorted(f.incident))]
+    return pairs
 
 
-def _cmd_decompose(args, model: ModelFile) -> list[str]:
+def _cmd_decompose(args, model: ModelFile) -> list:
     s = _get(model, "semigroup", args.name)
-    bound = _resolve_bound(args, model)
-    dec = decompose(s, bound)
-    lines = [
-        f"semigroup = {args.name}",
-        f"facet_count = {len(dec.facet_semigroups)}",
-        f"verified_degree = {dec.verified_to_degree}",
-    ]
+    dec = decompose(s, _resolve_bound(args, model))
+    pairs = [("semigroup", args.name), ("facet_count", len(dec.facet_semigroups)),
+             ("verified_degree", dec.verified_to_degree)]
     for i, fs in enumerate(dec.facet_semigroups):
-        lines.append(f"facet_{i}_normal = {_fmt_vec(fs.inner_normal)}")
-        lines.append(f"facet_{i}_units = {_fmt_mat(fs.unit_basis)}")
-        lines.append(f"facet_{i}_transversal = {_fmt_vec(fs.transversal)}")
-        lines.append(f"facet_{i}_positive = {_fmt_mat(fs.positive_generators)}")
-        lines.append(f"facet_{i}_auxiliary_basis = {_fmt_bool(fs.used_auxiliary_basis)}")
-    return lines
+        pairs += [(f"facet_{i}_normal", fs.inner_normal),
+                  (f"facet_{i}_units", fs.unit_basis),
+                  (f"facet_{i}_transversal", fs.transversal),
+                  (f"facet_{i}_positive", fs.positive_generators),
+                  (f"facet_{i}_auxiliary_basis", fs.used_auxiliary_basis)]
+    return pairs
 
 
-def _cmd_regularity(args, model: ModelFile) -> list[str]:
-    s = _get(model, "semigroup", args.name)
-    rep = regularity_report(s)
-    lines = [
-        f"semigroup = {args.name}",
-        f"normal = {_fmt_bool(rep.normal)}",
+def _cmd_regularity(args, model: ModelFile) -> list:
+    rep = regularity_report(_get(model, "semigroup", args.name))
+    return [
+        ("semigroup", args.name), ("normal", rep.normal), *_witness(rep.normality_witness),
+        ("as_cohen_macaulay", rep.as_cohen_macaulay), ("as_gorenstein", rep.as_gorenstein),
+        ("gorenstein_witness", rep.gorenstein_witness), ("as_regular", rep.as_regular),
+        ("maximal_order", rep.maximal_order),
+        ("balanced_dualizing_complex", rep.has_balanced_dualizing_complex),
+        ("rank", rep.rank),
     ]
-    if rep.normality_witness is not None:
-        g, p = rep.normality_witness
-        lines.append(f"witness_g = {_fmt_vec(g)}")
-        lines.append(f"witness_p = {p}")
-    lines.extend([
-        f"as_cohen_macaulay = {rep.as_cohen_macaulay}",
-        f"as_gorenstein = {rep.as_gorenstein}",
-    ])
-    if rep.gorenstein_witness is not None:
-        lines.append(f"gorenstein_witness = {_fmt_vec(rep.gorenstein_witness)}")
-    lines.extend([
-        f"as_regular = {_fmt_bool(rep.as_regular)}",
-        f"maximal_order = {_fmt_bool(rep.maximal_order)}",
-        f"balanced_dualizing_complex = {_fmt_bool(rep.has_balanced_dualizing_complex)}",
-        f"rank = {rep.rank}",
-    ])
-    return lines
 
 
-def _cmd_embed_torus(args, model: ModelFile) -> list[str]:
+def _cmd_embed_torus(args, model: ModelFile) -> list:
     s = _get(model, "semigroup", args.name)
     alpha = _get(model, "cocycle", args.cocycle)
-    algebra = TwistedAlgebra(s, alpha)
-    emb = algebra.torus_embedding()
-    lines = [f"semigroup = {args.name}", f"cocycle = {args.cocycle}"]
-    for i, (sv, tv) in enumerate(emb.pairs):
-        lines.append(f"pair_{i} = [{_fmt_vec(sv)},{_fmt_vec(tv)}]")
-    for i, y in enumerate(emb.y_monomials):
-        lines.append(f"y_{i} = {y}")
-    for i, row in enumerate(emb.q_matrix):
-        lines.append(f"q_{i} = [" + ",".join(str(x) for x in row) + "]")
-    for j, g in enumerate(s.generators):
-        lines.append(f"generator_{j}_scalar = {emb.generator_scalars[g]}")
-    return lines
+    emb = TwistedAlgebra(s, alpha).torus_embedding()
+    return [
+        ("semigroup", args.name), ("cocycle", args.cocycle),
+        *((f"pair_{i}", pair) for i, pair in enumerate(emb.pairs)),
+        *((f"y_{i}", y) for i, y in enumerate(emb.y_monomials)),
+        *((f"q_{i}", row) for i, row in enumerate(emb.q_matrix)),
+        *((f"generator_{j}_scalar", emb.generator_scalars[g])
+          for j, g in enumerate(s.generators)),
+    ]
 
 
-def _cmd_twist_check(args, model: ModelFile) -> list[str]:
+def _cmd_twist_check(args, model: ModelFile) -> list:
     s = _get(model, "semigroup", args.name)
     alpha = _get(model, "cocycle", args.cocycle)
     bound = _resolve_bound(args, model)
     TwistedAlgebra(s, alpha).twisting_system()
-    return [
-        f"semigroup = {args.name}",
-        f"cocycle = {args.cocycle}",
-        f"axiom_verified_degree = {min(bound, 3)}",
-        f"product_verified_degree = {bound}",
-        "twisting_system = ok",
-    ]
+    return [("semigroup", args.name), ("cocycle", args.cocycle),
+            ("axiom_verified_degree", min(bound, 3)), ("product_verified_degree", bound),
+            ("twisting_system", "ok")]
 
 
-def _cmd_cohomologous(args, model: ModelFile) -> list[str]:
+def _cmd_cohomologous(args, model: ModelFile) -> list:
     alpha = _get(model, "cocycle", args.first)
     beta = _get(model, "cocycle", args.second)
     result = are_cohomologous(alpha, beta)
-    lines = [
-        f"first = {args.first}",
-        f"second = {args.second}",
-        f"cohomologous = {_fmt_bool(result.cohomologous)}",
-    ]
+    pairs = [("first", args.first), ("second", args.second),
+             ("cohomologous", result.cohomologous)]
     if result.cohomologous:
         w = result.witness
-        if w.quad is None or all(not any(any(row) for row in m) for m in w.quad):
-            lines.append("witness = trivial")
-        else:
-            for k, p in enumerate(w.params):
-                if any(any(row) for row in w.quad[k]):
-                    lines.append(f"witness_quad:{p} = {_fmt_mat(w.quad[k])}")
-    else:
-        u, v = result.distinguishing_pair
-        lines.append(f"distinguishing_pair = [{_fmt_vec(u)},{_fmt_vec(v)}]")
-        lines.append(f"first_ratio = {alpha(u, v) / alpha(v, u)}")
-        lines.append(f"second_ratio = {beta(u, v) / beta(v, u)}")
-    return lines
+        quads = [(f"witness_quad:{p}", m) for p, m in zip(w.params, w.quad or ())
+                 if any(map(any, m))]
+        return pairs + (quads or [("witness", "trivial")])
+    u, v = result.distinguishing_pair
+    return pairs + [("distinguishing_pair", (u, v)),
+                    ("first_ratio", alpha(u, v) / alpha(v, u)),
+                    ("second_ratio", beta(u, v) / beta(v, u))]
 
 
-def _cmd_multiply(args, model: ModelFile) -> list[str]:
+def _cmd_multiply(args, model: ModelFile) -> list:
     s = _get(model, "semigroup", args.name)
     alpha = _get(model, "cocycle", args.cocycle)
     left = _parse_vector(args.left)
     right = _parse_vector(args.right)
     algebra = TwistedAlgebra(s, alpha)
-    product = algebra.product(algebra.monomial(left), algebra.monomial(right))
-    return [
-        f"semigroup = {args.name}",
-        f"cocycle = {args.cocycle}",
-        f"left = {_fmt_vec(left)}",
-        f"right = {_fmt_vec(right)}",
-        f"product = {product}",
-    ]
+    return [("semigroup", args.name), ("cocycle", args.cocycle), ("left", left),
+            ("right", right),
+            ("product", algebra.product(algebra.monomial(left), algebra.monomial(right)))]
 
 
-def _cmd_straighten(args, model: ModelFile) -> list[str]:
+def _cmd_straighten(args, model: ModelFile) -> list:
     lat = _get(model, "lattice", args.name)
     alpha = _get(model, "cocycle", args.cocycle)
     sg = model.straightening(args.name)
@@ -267,18 +217,13 @@ def _cmd_straighten(args, model: ModelFile) -> list[str]:
     except QtoricError as exc:
         raise _CliUsage(str(exc)) from exc
     scalar, standard = straighten(sg, alpha, word)
-    labels = standard.labels(lat)
-    return [
-        f"lattice = {args.name}",
-        f"cocycle = {args.cocycle}",
-        "word = [" + ",".join(lat.label(a) for a in word) + "]",
-        f"scalar = {scalar}",
-        "standard = [" + ",".join(labels) + "]",
-        f"standard_vector = {_fmt_vec(sg.vector_of_word(standard.chain))}",
-    ]
+    return [("lattice", args.name), ("cocycle", args.cocycle),
+            ("word", [lat.label(a) for a in word]), ("scalar", scalar),
+            ("standard", standard.labels(lat)),
+            ("standard_vector", sg.vector_of_word(standard.chain))]
 
 
-def _cmd_lattice(args, model: ModelFile) -> list[str]:
+def _cmd_lattice(args, model: ModelFile) -> list:
     lat = _get(model, "lattice", args.name)
     if args.cocycle is not None:
         alpha = _get(model, "cocycle", args.cocycle)
@@ -287,47 +232,42 @@ def _cmd_lattice(args, model: ModelFile) -> list[str]:
     report = algebra_report(model.straightening(args.name), alpha)
     sg = report.semigroup
     rep = report.regularity
-    lines = [
-        f"lattice = {args.name}",
-        f"cocycle = {args.cocycle if args.cocycle is not None else 'trivial'}",
-        "elements = [" + ",".join(lat.labels) + "]",
-        "irreducibles = [" + ",".join(lat.label(p) for p in sg.birkhoff.irreducibles) + "]",
-        f"ambient_dim = {sg.ambient_dim}",
+    return [
+        ("lattice", args.name), ("cocycle", args.cocycle or "trivial"),
+        ("elements", lat.labels),
+        ("irreducibles", [lat.label(p) for p in sg.birkhoff.irreducibles]),
+        ("ambient_dim", sg.ambient_dim),
+        *((f"vector_{lat.label(a)}", sg.vector_of[a]) for a in range(lat.size)),
+        ("normal", rep.normal), ("as_cohen_macaulay", rep.as_cohen_macaulay),
+        ("as_gorenstein", rep.as_gorenstein), ("as_regular", rep.as_regular),
+        ("maximal_order", rep.maximal_order),
     ]
-    for a in range(lat.size):
-        lines.append(f"vector_{lat.label(a)} = {_fmt_vec(sg.vector_of[a])}")
-    lines.extend([
-        f"normal = {_fmt_bool(rep.normal)}",
-        f"as_cohen_macaulay = {rep.as_cohen_macaulay}",
-        f"as_gorenstein = {rep.as_gorenstein}",
-        f"as_regular = {_fmt_bool(rep.as_regular)}",
-        f"maximal_order = {_fmt_bool(rep.maximal_order)}",
-    ])
-    return lines
 
 
-_HANDLERS = {
-    "analyze": _cmd_analyze,
-    "normal": _cmd_normal,
-    "facets": _cmd_facets,
-    "decompose": _cmd_decompose,
-    "regularity": _cmd_regularity,
-    "embed-torus": _cmd_embed_torus,
-    "twist-check": _cmd_twist_check,
-    "cohomologous": _cmd_cohomologous,
-    "multiply": _cmd_multiply,
-    "straighten": _cmd_straighten,
-    "lattice": _cmd_lattice,
+# name -> (handler, help, {argument: help}); an argument named "--x" is an
+# option whose default is None
+_COMMANDS = {
+    "analyze": (_cmd_analyze, "overview report for a semigroup", {"name": None}),
+    "normal": (_cmd_normal, "normality decision with certificate", {"name": None}),
+    "facets": (_cmd_facets, "facets of the cone of a full semigroup", {"name": None}),
+    "decompose": (_cmd_decompose, "intersection of facet semigroups, proved exactly",
+                  {"name": None}),
+    "regularity": (_cmd_regularity, "exact ring-theoretic profile", {"name": None}),
+    "embed-torus": (_cmd_embed_torus, "embed the algebra into a quantum torus",
+                    {"name": None, "cocycle": None}),
+    "twist-check": (_cmd_twist_check, "verify the twisting system reconstructs the algebra",
+                    {"name": None, "cocycle": None}),
+    "cohomologous": (_cmd_cohomologous, "decide cohomology of two cocycles",
+                     {"first": None, "second": None}),
+    "multiply": (_cmd_multiply, "product of two monomials X^s * X^t",
+                 {"name": None, "cocycle": None, "left": "exponent vector, e.g. 0,1",
+                  "right": "exponent vector, e.g. 1,0"}),
+    "straighten": (_cmd_straighten, "straighten a word of lattice elements to normal form",
+                   {"name": None, "cocycle": None,
+                    "word": "comma-separated element labels, e.g. b,a"}),
+    "lattice": (_cmd_lattice, "full distributive-lattice algebra pipeline",
+                {"name": None, "--cocycle": None}),
 }
-
-
-def _add_common(sub):
-    sub.add_argument("--model", required=True, help="path to the model file")
-    sub.add_argument("--bound", type=int, default=None,
-                     help="degree bound for bounded verifications "
-                          "(default: QTORIC_BOUND, then the model's bound line, then 6)")
-    sub.add_argument("--self-check-corrupt", action="store_true",
-                     help=argparse.SUPPRESS)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -335,63 +275,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="qtoric",
         description="Exact computations with twisted affine semigroup algebras.")
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("analyze", help="overview report for a semigroup")
-    p.add_argument("name")
-    _add_common(p)
-
-    p = subs.add_parser("normal", help="normality decision with certificate")
-    p.add_argument("name")
-    _add_common(p)
-
-    p = subs.add_parser("facets", help="facets of the cone of a full semigroup")
-    p.add_argument("name")
-    _add_common(p)
-
-    p = subs.add_parser("decompose",
-                        help="intersection of facet semigroups, proved exactly")
-    p.add_argument("name")
-    _add_common(p)
-
-    p = subs.add_parser("regularity", help="exact ring-theoretic profile")
-    p.add_argument("name")
-    _add_common(p)
-
-    p = subs.add_parser("embed-torus", help="embed the algebra into a quantum torus")
-    p.add_argument("name")
-    p.add_argument("cocycle")
-    _add_common(p)
-
-    p = subs.add_parser("twist-check",
-                        help="verify the twisting system reconstructs the algebra")
-    p.add_argument("name")
-    p.add_argument("cocycle")
-    _add_common(p)
-
-    p = subs.add_parser("cohomologous", help="decide cohomology of two cocycles")
-    p.add_argument("first")
-    p.add_argument("second")
-    _add_common(p)
-
-    p = subs.add_parser("multiply", help="product of two monomials X^s * X^t")
-    p.add_argument("name")
-    p.add_argument("cocycle")
-    p.add_argument("left", help="exponent vector, e.g. 0,1")
-    p.add_argument("right", help="exponent vector, e.g. 1,0")
-    _add_common(p)
-
-    p = subs.add_parser("straighten",
-                        help="straighten a word of lattice elements to normal form")
-    p.add_argument("name")
-    p.add_argument("cocycle")
-    p.add_argument("word", help="comma-separated element labels, e.g. b,a")
-    _add_common(p)
-
-    p = subs.add_parser("lattice", help="full distributive-lattice algebra pipeline")
-    p.add_argument("name")
-    p.add_argument("--cocycle", default=None)
-    _add_common(p)
-
+    for command, (_, text, arguments) in _COMMANDS.items():
+        sub = subs.add_parser(command, help=text)
+        for argument, argument_help in arguments.items():
+            sub.add_argument(argument, help=argument_help)
+        sub.add_argument("--model", required=True, help="path to the model file")
+        sub.add_argument("--bound", type=int, default=None,
+                         help="the Hilbert-function degree of analyze, recorded by "
+                              "decompose and twist-check (default: QTORIC_BOUND, then "
+                              "the model's bound line, then 6)")
+        sub.add_argument("--self-check-corrupt", action="store_true",
+                         help=argparse.SUPPRESS)
     return parser
 
 
@@ -433,7 +327,7 @@ def _read_model(path: str) -> tuple[str, ModelFile]:
         raise ModelParseError(f"cannot read model file: {exc}", 0, 0) from exc
     digest = hashlib.sha256(data).hexdigest()
     if _model is None or _model[0] != digest:
-        _model = (digest, parse_model(data.decode("utf-8")))
+        _model = (digest, parse_model(decode_model(data)))
     return _model
 
 
@@ -447,14 +341,13 @@ def main(argv=None) -> int:
         digest, model = _read_model(args.model)
         if args.self_check_corrupt:
             _corrupted_self_check()
-        lines = _HANDLERS[args.command](args, model)
-        header = [f"command = {args.command}", f"model_sha256 = {digest}"]
-        sys.stdout.write("\n".join(header + lines) + "\n")
+        pairs = _COMMANDS[args.command][0](args, model)
+        sys.stdout.write("".join(
+            f"{key} = {_fmt(value)}\n"
+            for key, value in [("command", args.command), ("model_sha256", digest), *pairs]
+            if value is not None))
         return 0
-    except _CliUsage as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ModelParseError as exc:
+    except (_CliUsage, ModelParseError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except VerificationError as exc:

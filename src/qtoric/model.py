@@ -360,9 +360,22 @@ def parse_model(text: str) -> ModelFile:
     return ModelFile(objects["semigroup"], objects["cocycle"], objects["lattice"], bound)
 
 
+def decode_model(data: bytes) -> str:
+    """The text of a model file's bytes; bytes that are not UTF-8 are a parse error."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # lines are counted as parse_model counts them; the column counts
+        # bytes (the "." stands for the bad byte, so it is 1-based)
+        lines = (data[:exc.start].decode("utf-8") + ".").splitlines()
+        raise ModelParseError("model file is not valid UTF-8", len(lines),
+                              len(lines[-1].encode("utf-8"))) from None
+
+
 def load_model(path: str) -> ModelFile:
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return parse_model(fh.read())
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise ModelParseError(f"cannot read model file: {exc}", 0, 0) from exc
+    return parse_model(decode_model(data))

@@ -91,6 +91,11 @@ def test_report_corpus(capsys, monkeypatch):
     assert render_corpus(capsys) == (GOLDEN / "corpus.txt").read_text(encoding="utf-8")
 
 
+def test_every_command_has_a_golden_report():
+    covered = {argv[0] for _, argv in GOLDEN_CASES} | {argv[0] for argv in CORPUS_CASES}
+    assert set(cli._COMMANDS) <= covered
+
+
 def test_report_header_and_digest(capsys):
     rc, out, _ = run(capsys, ["normal", "N23"])
     assert rc == 0
@@ -184,6 +189,11 @@ def test_bad_vector_argument_exits_2(capsys):
     rc, out, err = run(capsys, ["multiply", "A1", "qplane", "a,b", "1,0"])
     assert rc == 2
     assert "integer vector" in err
+    # an empty entry, or an empty vector, is refused, not dropped
+    for left in ("1,,1", "1,1,", ",1,1", ",", "[]", "", "[1,,1]"):
+        rc, out, err = run(capsys, ["multiply", "A1", "qplane", left, "1,0"])
+        assert (rc, out, err) == (
+            2, "", f"error: expected a comma-separated integer vector, got {left!r}\n"), left
 
 
 def test_unknown_label_exits_2(capsys):
@@ -506,13 +516,13 @@ def test_twist_check_answers_on_a_non_positive_semigroup(capsys, tmp_path):
                                     "product_verified_degree = 3", "twisting_system = ok"]
 
 
-def test_invalid_utf8_model_exits_3(capsys, tmp_path):
+def test_invalid_utf8_model_exits_2(capsys, tmp_path):
+    # a parse error with its line and byte column, as any bad line is
     path = tmp_path / "latin.model"
     path.write_bytes(b"semigroup A gens=[[1]]\n\xff\n")
     rc, out, err = run(capsys, ["analyze", "A"], model=str(path))
-    assert (rc, out) == (3, "")
-    assert err == ("error: 'utf-8' codec can't decode byte 0xff in position 23: "
-                   "invalid start byte\n")
+    assert (rc, out) == (2, "")
+    assert err == "error: line 2, column 1: model file is not valid UTF-8\n"
 
 
 def test_normality_multiple_beyond_the_limit_exits_3(capsys, tmp_path):

@@ -160,6 +160,24 @@ def test_load_model(tmp_path):
     assert "cannot read model file" in str(exc.value)
 
 
+def test_load_model_refuses_bytes_that_are_not_utf8(tmp_path):
+    # the line is counted as parse_model counts lines, the column in bytes
+    p = tmp_path / "m.model"
+    for data, line, column in [
+            (b"semigroup A gens=[[1]]\n\xff\n", 2, 1),
+            (b"semigroup A gens=[[1]] # \xc3\xa9 caf\xe9\n", 1, 32),
+            (b"bound 1\rsemigroup A gens=[[1]]\r\n\x80", 3, 1),
+            (b"bound 1\n# \xe2\x82", 2, 3)]:
+        p.write_bytes(data)
+        with pytest.raises(ModelParseError) as exc:
+            load_model(str(p))
+        assert (exc.value.line, exc.value.column) == (line, column), data
+        assert str(exc.value) == f"line {line}, column {column}: model file is not valid UTF-8"
+    p.write_bytes(FULL_MODEL.replace("\n", "\r\n").encode("utf-8"))
+    m = load_model(str(p))
+    assert m.bound == 4 and list(m.lattices) == ["D"]
+
+
 def test_non_decimal_digits_are_unexpected_characters():
     # str.isdigit accepts these but int() does not; they must not reach it
     cases = [
